@@ -64,6 +64,7 @@ Dram::tick()
     resp.tag = req.tag;
     if (req.write) {
         store_[req.addr] = req.data;
+        touches_.markLine(req.addr);
         resp_q_.pushIn(resp, cfg_.write_ack_latency);
     } else {
         resp.data = peekLine(req.addr);
@@ -98,6 +99,7 @@ void
 Dram::pokeLine(Addr line_addr, const LineData &data)
 {
     store_[lineAlign(line_addr)] = data;
+    touches_.markLine(lineAlign(line_addr));
 }
 
 std::unordered_map<Addr, LineData>

@@ -22,6 +22,7 @@
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/ticked.hh"
+#include "sim/touch_log.hh"
 #include "sim/types.hh"
 #include "tilelink/messages.hh"
 
@@ -99,6 +100,9 @@ class Dram : public Ticked
     void pokeLine(Addr line_addr, const LineData &data);
     /** Read one 64-bit word straight from the backing store. */
     std::uint64_t peekWord(Addr addr) const;
+    /** The checker's write log of backing-store lines (issued writes
+     *  and pokeLine()); line-addressed, so it records lines only. */
+    TouchLog &touches() const { return touches_; }
     /// @}
 
     /// @name ADR persist domain (durability-oracle interface)
@@ -127,6 +131,7 @@ class Dram : public Ticked
     BoundedFifo<MemReq> req_q_;
     CompletionBuffer<MemResp> resp_q_;
     std::unordered_map<Addr, LineData> store_;
+    mutable TouchLog touches_;
     unsigned inflight_ = 0;
     Cycle next_issue_ = 0;
 };

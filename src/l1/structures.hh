@@ -13,6 +13,7 @@
 #include "coherence/state.hh"
 #include "cpu_interface.hh"
 #include "sim/logging.hh"
+#include "sim/touch_log.hh"
 #include "sim/types.hh"
 #include "tilelink/messages.hh"
 
@@ -33,7 +34,12 @@ struct L1Meta
     bool valid() const { return state != ClientState::Nothing; }
 };
 
-/** The L1's SRAM arrays: per-(set,way) metadata and line data. */
+/**
+ * The L1's SRAM arrays: per-(set,way) metadata and line data. The
+ * non-const meta()/data() accessors are the only write paths; each
+ * records its slot in the arrays' TouchLog for the coherence checker
+ * (read-only paths use the const overloads, which log nothing).
+ */
 class L1Arrays
 {
   public:
@@ -79,14 +85,26 @@ class L1Arrays
         return -1;
     }
 
-    L1Meta &meta(unsigned set, unsigned way) { return meta_[idx(set, way)]; }
+    L1Meta &
+    meta(unsigned set, unsigned way)
+    {
+        const std::size_t i = idx(set, way);
+        noteWrite(i);
+        return meta_[i];
+    }
     const L1Meta &
     meta(unsigned set, unsigned way) const
     {
         return meta_[idx(set, way)];
     }
 
-    LineData &data(unsigned set, unsigned way) { return data_[idx(set, way)]; }
+    LineData &
+    data(unsigned set, unsigned way)
+    {
+        const std::size_t i = idx(set, way);
+        noteWrite(i);
+        return data_[i];
+    }
     const LineData &
     data(unsigned set, unsigned way) const
     {
@@ -99,6 +117,10 @@ class L1Arrays
         return lru_[idx(set, way)];
     }
 
+    /** The checker's write log; slot = set * ways() + way. Mutable:
+     *  logging is observer bookkeeping, not simulated state. */
+    TouchLog &touches() const { return touches_; }
+
   private:
     unsigned sets_;
     unsigned ways_;
@@ -106,12 +128,22 @@ class L1Arrays
     std::vector<LineData> data_;
     std::vector<std::uint64_t> lru_;
     std::uint64_t stamp_ = 0;
+    mutable TouchLog touches_;
 
     std::size_t
     idx(unsigned set, unsigned way) const
     {
         SKIPIT_ASSERT(set < sets_ && way < ways_, "L1 array index OOB");
         return static_cast<std::size_t>(set) * ways_ + way;
+    }
+
+    void
+    noteWrite(std::size_t i)
+    {
+        if (touches_.wants(i)) {
+            touches_.markSlot(i, meta_[i].valid(),
+                              meta_[i].tag << line_shift);
+        }
     }
 };
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/touch_log.hh"
 #include "sim/types.hh"
 #include "tilelink/messages.hh"
 
@@ -36,13 +37,22 @@ class BankedStore
     void
     write(unsigned set, unsigned way, const LineData &data)
     {
-        lines_[index(set, way)] = data;
+        const std::size_t i = index(set, way);
+        // The store has no tags: the checker maps a written slot to its
+        // line through the directory entry of the same (set, way).
+        if (touches_.wants(i))
+            touches_.markSlot(i, false, 0);
+        lines_[i] = data;
     }
+
+    /** The checker's write log; slot = set * ways + way. */
+    TouchLog &touches() const { return touches_; }
 
   private:
     unsigned sets_;
     unsigned ways_;
     std::vector<LineData> lines_;
+    mutable TouchLog touches_;
 
     std::size_t
     index(unsigned set, unsigned way) const

@@ -150,7 +150,7 @@ L2Cache::isDirty(Addr line_addr) const
 }
 
 std::optional<Addr>
-L2Cache::firstForeignLine(bool scan_directory) const
+L2Cache::firstForeignInflightLine() const
 {
     if (slice_count_ <= 1)
         return std::nullopt;
@@ -165,17 +165,6 @@ L2Cache::firstForeignLine(bool scan_directory) const
     for (const CMsg &msg : list_buffer_) {
         if (!homesLine(msg.addr))
             return msg.addr;
-    }
-    if (scan_directory) {
-        for (unsigned set = 0; set < dir_.sets(); ++set) {
-            for (unsigned way = 0; way < dir_.ways(); ++way) {
-                if (!dir_.entry(set, way).valid)
-                    continue;
-                const Addr line = dir_.addrOf(set, way);
-                if (!homesLine(line))
-                    return line;
-            }
-        }
     }
     return std::nullopt;
 }

@@ -150,10 +150,10 @@ class L2Cache : public Ticked, public probe::Inspectable
     /**
      * Checker audit: the first in-flight line (MSHR request, eviction
      * victim, or buffered RootRelease) that does not home to this
-     * slice; with @p scan_directory also any resident foreign line.
-     * Any hit means the interconnect misrouted a request.
+     * slice. Any hit means the interconnect misrouted a request. (The
+     * checker audits resident lines entry by entry.)
      */
-    std::optional<Addr> firstForeignLine(bool scan_directory) const;
+    std::optional<Addr> firstForeignInflightLine() const;
 
     /** Watchdog interface: fingerprint every valid MSHR and buffered
      *  RootRelease (see sim/watchdog.hh). */

@@ -29,18 +29,6 @@ Directory::findWay(Addr line_addr) const
     return -1;
 }
 
-DirEntry &
-Directory::entry(unsigned set, unsigned way)
-{
-    return entries_[index(set, way)];
-}
-
-const DirEntry &
-Directory::entry(unsigned set, unsigned way) const
-{
-    return entries_[index(set, way)];
-}
-
 void
 Directory::touch(unsigned set, unsigned way)
 {

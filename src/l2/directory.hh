@@ -17,6 +17,7 @@
 #include "index.hh"
 #include "replace.hh"
 #include "sim/logging.hh"
+#include "sim/touch_log.hh"
 #include "sim/types.hh"
 
 namespace skipit {
@@ -115,8 +116,27 @@ class Directory
     /** @return way index of @p line_addr or -1 if not resident. */
     int findWay(Addr line_addr) const;
 
-    DirEntry &entry(unsigned set, unsigned way);
-    const DirEntry &entry(unsigned set, unsigned way) const;
+    /** Mutable entry access; records the slot (and the line it held)
+     *  in the directory's TouchLog for the coherence checker. */
+    DirEntry &
+    entry(unsigned set, unsigned way)
+    {
+        const std::size_t i = index(set, way);
+        if (touches_.wants(i)) {
+            touches_.markSlot(i, entries_[i].valid,
+                              entries_[i].tag << line_shift);
+        }
+        return entries_[i];
+    }
+
+    const DirEntry &
+    entry(unsigned set, unsigned way) const
+    {
+        return entries_[index(set, way)];
+    }
+
+    /** The checker's write log; slot = set * ways() + way. */
+    TouchLog &touches() const { return touches_; }
 
     /** Rebuild a line address from an entry's tag. */
     Addr
@@ -152,6 +172,7 @@ class Directory
     /** mutable: pickVictim is logically a query, but seeded-random
      *  replacement advances its stream on each draw. */
     mutable ReplacePolicy replace_;
+    mutable TouchLog touches_;
 
     std::size_t
     index(unsigned set, unsigned way) const

@@ -196,7 +196,10 @@ SoCConfig::describe() const
                : std::string("serial"))
        << "\n"
        << "fast-forward: " << (fast_forward ? "on" : "off") << "\n"
-       << "checker: " << (verify.enabled ? "on" : "off")
+       << "checker: "
+       << (!verify.enabled       ? "off"
+           : verify.differential ? "on, differential"
+                                 : "on")
        << (verify.enabled && !verify.fatal ? " (latching)" : "")
        << ", jitter: " << (jitter.enabled ? "on" : "off");
     if (durability.enabled) {

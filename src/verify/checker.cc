@@ -1,5 +1,6 @@
 #include "checker.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -77,6 +78,31 @@ CoherenceChecker::addL1(const DataCache &l1)
     // TileLink source id is @p id (the SoC adds them in core order).
     l1s_.push_back(&l1);
     prev_fshr_.emplace_back(l1.fshrs().size(), Fshr::State::Invalid);
+    if (cfg_.enabled) {
+        const L1Arrays &a = l1.arrays();
+        a.touches().enable(static_cast<std::size_t>(a.sets()) * a.ways());
+    }
+}
+
+void
+CoherenceChecker::setL2(const L2Cache &l2)
+{
+    l2s_.push_back(&l2);
+    if (cfg_.enabled) {
+        const Directory &dir = l2.directory();
+        const std::size_t slots =
+            static_cast<std::size_t>(dir.sets()) * dir.ways();
+        dir.touches().enable(slots);
+        l2.store().touches().enable(slots);
+    }
+}
+
+void
+CoherenceChecker::setDram(const Dram &dram)
+{
+    dram_ = &dram;
+    if (cfg_.enabled)
+        dram.touches().enable(0);
 }
 
 void
@@ -86,17 +112,15 @@ CoherenceChecker::tick()
         return;
     ++checks_run_;
     for (std::size_t i = 0; i < l1s_.size(); ++i) {
-        checkL1Structural(i);
+        checkL1Queues(i);
         checkFshrFsm(i);
     }
-    checkSliceRouting(false);
+    checkSliceRouting();
     checkGlobalFlushCounter();
-    if (cfg_.check_values && cfg_.value_interval > 0 &&
-        checks_run_ % cfg_.value_interval == 0) {
-        for (std::size_t i = 0; i < l1s_.size(); ++i)
-            checkValues(i);
-        checkSliceRouting(true);
-    }
+    if (cfg_.differential)
+        tickDifferential();
+    else
+        checkTouched();
     snapshotFshrStates();
 }
 
@@ -107,16 +131,14 @@ CoherenceChecker::checkNow()
         return 0;
     const std::size_t before = violations_.size();
     for (std::size_t i = 0; i < l1s_.size(); ++i) {
-        checkL1Structural(i);
+        checkL1Queues(i);
         checkFshrFsm(i);
     }
-    checkSliceRouting(true);
+    checkSliceRouting();
     checkGlobalFlushCounter();
-    if (cfg_.check_values) {
-        for (std::size_t i = 0; i < l1s_.size(); ++i)
-            checkValues(i);
+    sweepLines();
+    if (cfg_.check_values)
         checkL2DramSweep();
-    }
     snapshotFshrStates();
     return violations_.size() - before;
 }
@@ -128,6 +150,7 @@ CoherenceChecker::escalate(std::ostream &os)
         return;
     std::vector<Violation> found;
     collect_ = &found;
+    collect_cap_ = cfg_.max_violations;
     checkNow();
     collect_ = nullptr;
     if (found.empty()) {
@@ -159,7 +182,7 @@ void
 CoherenceChecker::fail(const char *invariant, std::string detail)
 {
     if (collect_ != nullptr) {
-        if (collect_->size() < cfg_.max_violations)
+        if (collect_->size() < collect_cap_)
             collect_->push_back({sim_.now(), invariant, std::move(detail)});
         return;
     }
@@ -183,86 +206,29 @@ CoherenceChecker::homeL2(Addr line) const
 }
 
 bool
-CoherenceChecker::lineQuiet(Addr line) const
+CoherenceChecker::lineQuiet(Addr line, std::size_t &busy_agent) const
 {
-    for (const DataCache *l1 : l1s_) {
-        if (l1->lineBusy(line))
-            return false;
-    }
     // Every slice, not just the home one: a misrouted transaction (the
     // very fault slice-routing exists to catch) is still in-flight state.
-    for (const L2Cache *l2 : l2s_) {
-        if (l2->lineBusy(line))
+    const std::size_t agents = l1s_.size() + l2s_.size();
+    for (std::size_t k = 0; k < agents; ++k) {
+        const std::size_t a = (busy_agent + k) % agents;
+        const bool busy = a < l1s_.size()
+                              ? l1s_[a]->lineBusy(line)
+                              : l2s_[a - l1s_.size()]->lineBusy(line);
+        if (busy) {
+            busy_agent = a;
             return false;
+        }
     }
     return true;
 }
 
 void
-CoherenceChecker::checkL1Structural(std::size_t idx)
+CoherenceChecker::checkL1Queues(std::size_t idx)
 {
     const DataCache &dc = *l1s_[idx];
     const L1Arrays &arrays = dc.arrays();
-    const AgentId id = static_cast<AgentId>(idx);
-
-    for (unsigned set = 0; set < arrays.sets(); ++set) {
-        for (unsigned way = 0; way < arrays.ways(); ++way) {
-            const L1Meta &meta = arrays.meta(set, way);
-            if (!meta.valid())
-                continue;
-            const Addr line = arrays.addrOf(set, way);
-
-            // swmr: only a Trunk may hold dirty data.
-            if (meta.dirty && meta.state != ClientState::Trunk) {
-                fail("swmr", detail::concat(
-                         "l1[", idx, "] holds 0x", std::hex, line,
-                         " dirty in state ", toString(meta.state)));
-            }
-            // swmr: a Trunk is the sole holder across all L1s.
-            if (meta.state == ClientState::Trunk) {
-                for (std::size_t j = 0; j < l1s_.size(); ++j) {
-                    if (j == idx)
-                        continue;
-                    const ClientState other = l1s_[j]->lineState(line);
-                    if (other != ClientState::Nothing) {
-                        fail("swmr", detail::concat(
-                                 "l1[", idx, "] is Trunk of 0x", std::hex,
-                                 line, " while l1[", std::dec, j,
-                                 "] holds it as ", toString(other)));
-                    }
-                }
-            }
-
-            // inclusivity: the home slice's directory records (at least)
-            // what the L1 actually holds. The reverse is legal in flight.
-            if (const L2Cache *l2 = homeL2(line)) {
-                const Directory &dir = l2->directory();
-                const int l2_way = dir.findWay(line);
-                if (l2_way < 0) {
-                    fail("inclusivity", detail::concat(
-                             "l1[", idx, "] holds 0x", std::hex, line,
-                             " (", toString(meta.state),
-                             ") absent from L2 slice ", std::dec,
-                             l2->sliceIndex(), "'s directory"));
-                    continue;
-                }
-                const DirEntry &e = dir.entry(
-                    dir.setOf(line), static_cast<unsigned>(l2_way));
-                if (!e.heldBy(id)) {
-                    fail("inclusivity", detail::concat(
-                             "l1[", idx, "] holds 0x", std::hex, line,
-                             " (", toString(meta.state),
-                             ") but the directory does not record it"));
-                } else if (meta.state == ClientState::Trunk &&
-                           e.trunk != id) {
-                    fail("inclusivity", detail::concat(
-                             "l1[", idx, "] is Trunk of 0x", std::hex,
-                             line, " but the directory trunk is agent ",
-                             std::dec, e.trunk));
-                }
-            }
-        }
-    }
 
     // flushq-meta: queue snapshots agree with the array (§5.4's
     // probe_invalidate keeps them coherent through downgrades).
@@ -336,6 +302,64 @@ CoherenceChecker::checkL1Structural(std::size_t idx)
 }
 
 void
+CoherenceChecker::checkL1Line(std::size_t idx, unsigned set, unsigned way,
+                              bool shared)
+{
+    const L1Arrays &arrays = l1s_[idx]->arrays();
+    const L1Meta &meta = arrays.meta(set, way);
+    const Addr line = arrays.addrOf(set, way);
+    const AgentId id = static_cast<AgentId>(idx);
+
+    // swmr: only a Trunk may hold dirty data.
+    if (meta.dirty && meta.state != ClientState::Trunk) {
+        fail("swmr", detail::concat(
+                 "l1[", idx, "] holds 0x", std::hex, line,
+                 " dirty in state ", toString(meta.state)));
+    }
+    // swmr: a Trunk is the sole holder across all L1s.
+    if (meta.state == ClientState::Trunk && shared) {
+        for (std::size_t j = 0; j < l1s_.size(); ++j) {
+            if (j == idx)
+                continue;
+            const ClientState other = l1s_[j]->lineState(line);
+            if (other != ClientState::Nothing) {
+                fail("swmr", detail::concat(
+                         "l1[", idx, "] is Trunk of 0x", std::hex, line,
+                         " while l1[", std::dec, j, "] holds it as ",
+                         toString(other)));
+            }
+        }
+    }
+
+    // inclusivity: the home slice's directory records (at least) what
+    // the L1 actually holds. The reverse is legal in flight.
+    const L2Cache *l2 = homeL2(line);
+    if (l2 == nullptr)
+        return;
+    const Directory &dir = l2->directory();
+    const int l2_way = dir.findWay(line);
+    if (l2_way < 0) {
+        fail("inclusivity", detail::concat(
+                 "l1[", idx, "] holds 0x", std::hex, line, " (",
+                 toString(meta.state), ") absent from L2 slice ", std::dec,
+                 l2->sliceIndex(), "'s directory"));
+        return;
+    }
+    const DirEntry &e =
+        dir.entry(dir.setOf(line), static_cast<unsigned>(l2_way));
+    if (!e.heldBy(id)) {
+        fail("inclusivity", detail::concat(
+                 "l1[", idx, "] holds 0x", std::hex, line, " (",
+                 toString(meta.state),
+                 ") but the directory does not record it"));
+    } else if (meta.state == ClientState::Trunk && e.trunk != id) {
+        fail("inclusivity", detail::concat(
+                 "l1[", idx, "] is Trunk of 0x", std::hex, line,
+                 " but the directory trunk is agent ", std::dec, e.trunk));
+    }
+}
+
+void
 CoherenceChecker::checkFshrFsm(std::size_t idx)
 {
     const std::vector<Fshr> &fshrs = l1s_[idx]->fshrs();
@@ -363,66 +387,287 @@ CoherenceChecker::snapshotFshrStates()
 }
 
 void
-CoherenceChecker::checkValues(std::size_t idx)
+CoherenceChecker::checkL1LineValues(std::size_t idx, unsigned set,
+                                    unsigned way)
 {
-    if (l2s_.empty())
+    const L1Arrays &arrays = l1s_[idx]->arrays();
+    const L1Meta &meta = arrays.meta(set, way);
+    const Addr line = arrays.addrOf(set, way);
+    const L2Cache *l2 = homeL2(line);
+    if (l2 == nullptr)
         return;
-    const DataCache &dc = *l1s_[idx];
-    const L1Arrays &arrays = dc.arrays();
+    const Directory &dir = l2->directory();
+    const int l2_way = dir.findWay(line);
+    if (l2_way < 0)
+        return; // inclusivity already reported it
+    const unsigned l2_set = dir.setOf(line);
+    const DirEntry &e = dir.entry(l2_set, static_cast<unsigned>(l2_way));
 
-    for (unsigned set = 0; set < arrays.sets(); ++set) {
-        for (unsigned way = 0; way < arrays.ways(); ++way) {
-            const L1Meta &meta = arrays.meta(set, way);
-            // Dirty lines are legitimately ahead of the levels below;
-            // busy lines are mid-transaction.
-            if (!meta.valid() || meta.dirty)
-                continue;
-            const Addr line = arrays.addrOf(set, way);
-            if (!lineQuiet(line))
-                continue;
-            const L2Cache &l2 = *homeL2(line);
-            const Directory &dir = l2.directory();
-            const int l2_way = dir.findWay(line);
-            if (l2_way < 0)
-                continue; // inclusivity already reported it
-            const unsigned l2_set = dir.setOf(line);
-            const DirEntry &e =
-                dir.entry(l2_set, static_cast<unsigned>(l2_way));
+    // value-coherence: a clean quiet L1 line is a byte-exact copy of the
+    // L2's version (however either got it). A tag-only entry (exclusive
+    // state policy) has no L2 bytes; the clean line's ground truth is
+    // DRAM instead.
+    const LineData &l1_bytes = arrays.data(set, way);
+    if (e.data_resident) {
+        const LineData &l2_bytes =
+            l2->store().read(l2_set, static_cast<unsigned>(l2_way));
+        if (std::memcmp(l1_bytes.data(), l2_bytes.data(), line_bytes) !=
+            0) {
+            fail("value-coherence", detail::concat(
+                     "l1[", idx, "] clean copy of 0x", std::hex, line,
+                     " differs from the L2 copy"));
+        }
+    } else if (dram_ != nullptr) {
+        const LineData dram_bytes = dram_->peekLine(line);
+        if (std::memcmp(l1_bytes.data(), dram_bytes.data(), line_bytes) !=
+            0) {
+            fail("value-coherence", detail::concat(
+                     "l1[", idx, "] clean copy of 0x", std::hex, line,
+                     " differs from DRAM (L2 entry is tag-only)"));
+        }
+    }
 
-            // value-coherence: a clean quiet L1 line is a byte-exact copy
-            // of the L2's version (however either got it). A tag-only
-            // entry (exclusive state policy) has no L2 bytes; the clean
-            // line's ground truth is DRAM instead.
-            const LineData &l1_bytes = arrays.data(set, way);
-            if (e.data_resident) {
-                const LineData &l2_bytes =
-                    l2.store().read(l2_set, static_cast<unsigned>(l2_way));
-                if (std::memcmp(l1_bytes.data(), l2_bytes.data(),
-                                line_bytes) != 0) {
-                    fail("value-coherence", detail::concat(
-                             "l1[", idx, "] clean copy of 0x", std::hex,
-                             line, " differs from the L2 copy"));
-                }
-            } else if (dram_ != nullptr) {
-                const LineData dram_bytes = dram_->peekLine(line);
-                if (std::memcmp(l1_bytes.data(), dram_bytes.data(),
-                                line_bytes) != 0) {
-                    fail("value-coherence", detail::concat(
-                             "l1[", idx, "] clean copy of 0x", std::hex,
-                             line, " differs from DRAM (L2 entry is "
-                             "tag-only)"));
-                }
+    // skip-soundness (§6): skip set on a clean line means no dirty copy
+    // exists below — the negation of L2's dirty bit.
+    if (cfg_.check_skip && meta.skip && e.dirty) {
+        fail("skip-soundness", detail::concat(
+                 "l1[", idx, "] has skip set on clean 0x", std::hex, line,
+                 " but the L2 copy is dirty"));
+    }
+}
+
+void
+CoherenceChecker::checkDirEntry(const L2Cache &l2, unsigned set,
+                                unsigned way)
+{
+    const Directory &dir = l2.directory();
+    const DirEntry &e = dir.entry(set, way);
+    const Addr line = dir.addrOf(set, way);
+
+    // slice-routing: a slice only ever holds lines homing to it.
+    if (!l2.homesLine(line)) {
+        fail("slice-routing", detail::concat(
+                 "L2 slice ", l2.sliceIndex(), " holds line 0x", std::hex,
+                 line, " which homes to slice ", std::dec,
+                 l2.indexPolicy().sliceOf(line)));
+    }
+
+    // data-residency: the state policy's residency contract. Inclusive
+    // keeps every line's bytes; under any policy a dirty line must be
+    // backed by real store bytes.
+    if (l2.statePolicy().dataAlwaysResident() && !e.data_resident) {
+        fail("data-residency", detail::concat(
+                 "L2 slice ", l2.sliceIndex(), " entry 0x", std::hex, line,
+                 " is tag-only under an always-resident state policy"));
+    }
+    if (e.dirty && !e.data_resident) {
+        fail("data-residency", detail::concat(
+                 "L2 slice ", l2.sliceIndex(), " entry 0x", std::hex, line,
+                 " is dirty but its bytes are not resident"));
+    }
+}
+
+void
+CoherenceChecker::collectTouched()
+{
+    touched_.clear();
+    for (const DataCache *l1 : l1s_) {
+        const L1Arrays &a = l1->arrays();
+        TouchLog &log = a.touches();
+        touched_.insert(touched_.end(), log.lines().begin(),
+                        log.lines().end());
+        for (const std::size_t slot : log.slots()) {
+            const unsigned set = static_cast<unsigned>(slot / a.ways());
+            const unsigned way = static_cast<unsigned>(slot % a.ways());
+            if (a.meta(set, way).valid())
+                touched_.push_back(a.addrOf(set, way));
+        }
+        log.clear();
+    }
+    touched_entries_.clear();
+    for (const L2Cache *l2 : l2s_) {
+        const Directory &dir = l2->directory();
+        // A written store slot is named by its directory entry; only a
+        // written directory slot needs its entry re-audited.
+        for (TouchLog *log : {&dir.touches(), &l2->store().touches()}) {
+            const bool entries = log == &dir.touches();
+            touched_.insert(touched_.end(), log->lines().begin(),
+                            log->lines().end());
+            for (const std::size_t slot : log->slots()) {
+                const unsigned set = static_cast<unsigned>(slot / dir.ways());
+                const unsigned way = static_cast<unsigned>(slot % dir.ways());
+                if (!dir.entry(set, way).valid)
+                    continue;
+                touched_.push_back(dir.addrOf(set, way));
+                if (entries)
+                    touched_entries_.push_back({l2, set, way});
             }
+            log->clear();
+        }
+    }
+    if (dram_ != nullptr) {
+        TouchLog &log = dram_->touches();
+        touched_.insert(touched_.end(), log.lines().begin(),
+                        log.lines().end());
+        log.clear();
+    }
+    if (drop_next_touches_) {
+        drop_next_touches_ = false;
+        touched_.clear();
+        touched_entries_.clear();
+        return;
+    }
+    std::sort(touched_.begin(), touched_.end());
+    touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                   touched_.end());
+}
 
-            // skip-soundness (§6): skip set on a clean line means no
-            // dirty copy exists below — the negation of L2's dirty bit.
-            if (cfg_.check_skip && meta.skip && e.dirty) {
-                fail("skip-soundness", detail::concat(
-                         "l1[", idx, "] has skip set on clean 0x",
-                         std::hex, line, " but the L2 copy is dirty"));
+bool
+CoherenceChecker::checkLineStructure(Addr line)
+{
+    holders_.clear();
+    for (std::size_t i = 0; i < l1s_.size(); ++i) {
+        const int way = l1s_[i]->arrays().findWay(line);
+        if (way >= 0)
+            holders_.emplace_back(i, static_cast<unsigned>(way));
+    }
+    bool clean_holder = false;
+    for (const auto &[i, way] : holders_) {
+        const L1Arrays &a = l1s_[i]->arrays();
+        const unsigned set = a.setOf(line);
+        checkL1Line(i, set, way, holders_.size() > 1);
+        clean_holder = clean_holder || !a.meta(set, way).dirty;
+    }
+    return clean_holder && cfg_.check_values && !l2s_.empty();
+}
+
+void
+CoherenceChecker::checkLineValues(Addr line)
+{
+    for (std::size_t i = 0; i < l1s_.size(); ++i) {
+        const L1Arrays &a = l1s_[i]->arrays();
+        const int way = a.findWay(line);
+        if (way < 0)
+            continue;
+        const unsigned set = a.setOf(line);
+        if (!a.meta(set, static_cast<unsigned>(way)).dirty)
+            checkL1LineValues(i, set, static_cast<unsigned>(way));
+    }
+}
+
+void
+CoherenceChecker::checkTouched()
+{
+    collectTouched();
+    still_pending_.clear();
+    // A line's bytes, skip bit and holders only change through a touch,
+    // so a line needs value checks after each touch — once, on the first
+    // cycle it is quiet. Pending lines touched again this cycle are
+    // handled with the touched set.
+    for (Pending p : pending_) {
+        if (std::binary_search(touched_.begin(), touched_.end(), p.line))
+            continue;
+        ++lines_examined_;
+        if (lineQuiet(p.line, p.busy_agent))
+            checkLineValues(p.line);
+        else
+            still_pending_.push_back(p);
+    }
+    for (const TouchedEntry &e : touched_entries_)
+        checkDirEntry(*e.l2, e.set, e.way);
+    for (const Addr line : touched_) {
+        ++lines_examined_;
+        if (!checkLineStructure(line))
+            continue;
+        Pending p{line, 0};
+        if (lineQuiet(line, p.busy_agent))
+            checkLineValues(line);
+        else
+            still_pending_.push_back(p);
+    }
+    pending_.swap(still_pending_);
+}
+
+void
+CoherenceChecker::sweepLines()
+{
+    for (std::size_t i = 0; i < l1s_.size(); ++i) {
+        const L1Arrays &a = l1s_[i]->arrays();
+        for (unsigned set = 0; set < a.sets(); ++set) {
+            for (unsigned way = 0; way < a.ways(); ++way) {
+                if (a.meta(set, way).valid())
+                    checkL1Line(i, set, way);
             }
         }
     }
+    for (const L2Cache *l2 : l2s_) {
+        const Directory &dir = l2->directory();
+        for (unsigned set = 0; set < dir.sets(); ++set) {
+            for (unsigned way = 0; way < dir.ways(); ++way) {
+                if (dir.entry(set, way).valid)
+                    checkDirEntry(*l2, set, way);
+            }
+        }
+    }
+    if (!cfg_.check_values || l2s_.empty())
+        return;
+    for (std::size_t i = 0; i < l1s_.size(); ++i) {
+        const L1Arrays &a = l1s_[i]->arrays();
+        for (unsigned set = 0; set < a.sets(); ++set) {
+            for (unsigned way = 0; way < a.ways(); ++way) {
+                const L1Meta &meta = a.meta(set, way);
+                // Dirty lines are legitimately ahead of the levels
+                // below; busy lines are mid-transaction.
+                if (meta.valid() && !meta.dirty &&
+                    lineQuiet(a.addrOf(set, way))) {
+                    checkL1LineValues(i, set, way);
+                }
+            }
+        }
+    }
+}
+
+void
+CoherenceChecker::tickDifferential()
+{
+    std::vector<Violation> incremental;
+    std::vector<Violation> full;
+    collect_cap_ = static_cast<std::size_t>(-1);
+    collect_ = &incremental;
+    checkTouched();
+    collect_ = &full;
+    sweepLines();
+    collect_ = nullptr;
+
+    const auto key = [](const Violation &v) {
+        return v.invariant + ": " + v.detail;
+    };
+    std::set<std::string> found_now;
+    for (const Violation &v : incremental)
+        found_now.insert(key(v));
+    std::set<std::string> full_keys;
+    for (const Violation &v : full) {
+        const std::string k = key(v);
+        full_keys.insert(k);
+        // A violation the incremental check reported on an earlier
+        // cycle persists until its line is touched again; the full
+        // sweep re-finds it every cycle.
+        if (found_now.count(k) == 0 && reported_.count(k) == 0) {
+            SKIPIT_PANIC("incremental checker missed [", v.invariant,
+                         "] ", v.detail, " @ cycle ", sim_.now(),
+                         " (the full sweep found it)");
+        }
+    }
+    for (const Violation &v : incremental) {
+        if (full_keys.count(key(v)) == 0) {
+            SKIPIT_PANIC("incremental checker reported [", v.invariant,
+                         "] ", v.detail, " @ cycle ", sim_.now(),
+                         " but the full sweep did not");
+        }
+    }
+    reported_.insert(found_now.begin(), found_now.end());
+    for (Violation &v : incremental)
+        fail(v.invariant.c_str(), std::move(v.detail));
 }
 
 void
@@ -431,40 +676,19 @@ CoherenceChecker::checkL2DramSweep()
     // A clean quiet L2 line must match the backing store byte for byte:
     // it was either filled from DRAM or written back to it, and the
     // llc_skip / Inval-discard shortcuts are only sound when this holds.
-    // Too wide to run per cycle; checkNow()-only. Assumes no external
-    // pokeLine() of resident lines (DMA-style tests poke then CBO.INVAL).
+    // checkNow()-only: a device may legitimately rewrite DRAM behind a
+    // resident line (DMA-style tests poke, then CBO.INVAL), so this is
+    // an end-of-run audit, not a per-touch one.
     if (l2s_.empty() || dram_ == nullptr)
         return;
     for (const L2Cache *l2 : l2s_) {
         const Directory &dir = l2->directory();
-        const bool always_resident =
-            l2->statePolicy().dataAlwaysResident();
         for (unsigned set = 0; set < dir.sets(); ++set) {
             for (unsigned way = 0; way < dir.ways(); ++way) {
                 const DirEntry &e = dir.entry(set, way);
-                if (!e.valid)
+                if (!e.valid || e.dirty || !e.data_resident)
                     continue;
                 const Addr line = dir.addrOf(set, way);
-
-                // data-residency: the state policy's residency contract.
-                // Inclusive keeps every line's bytes; under any policy a
-                // dirty line must be backed by real store bytes.
-                if (always_resident && !e.data_resident) {
-                    fail("data-residency", detail::concat(
-                             "L2 slice ", l2->sliceIndex(),
-                             " entry 0x", std::hex, line,
-                             " is tag-only under an always-resident "
-                             "state policy"));
-                }
-                if (e.dirty && !e.data_resident) {
-                    fail("data-residency", detail::concat(
-                             "L2 slice ", l2->sliceIndex(),
-                             " entry 0x", std::hex, line,
-                             " is dirty but its bytes are not resident"));
-                }
-
-                if (e.dirty || !e.data_resident)
-                    continue;
                 if (!lineQuiet(line))
                     continue;
                 const LineData dram_bytes = dram_->peekLine(line);
@@ -482,13 +706,12 @@ CoherenceChecker::checkL2DramSweep()
 }
 
 void
-CoherenceChecker::checkSliceRouting(bool deep)
+CoherenceChecker::checkSliceRouting()
 {
     for (const L2Cache *l2 : l2s_) {
-        if (const auto line = l2->firstForeignLine(deep)) {
+        if (const auto line = l2->firstForeignInflightLine()) {
             fail("slice-routing", detail::concat(
-                     "L2 slice ", l2->sliceIndex(),
-                     deep ? " holds" : " is working on", " line 0x",
+                     "L2 slice ", l2->sliceIndex(), " is working on line 0x",
                      std::hex, *line, " which homes to slice ", std::dec,
                      l2->indexPolicy().sliceOf(lineAlign(*line))));
         }

@@ -228,6 +228,7 @@ fuzzConfig(const FuzzSpec &spec, std::uint64_t seed)
     SoCConfig cfg;
     cfg.cores = spec.harts;
     cfg.verify.fatal = false; // latch violations; the harness reports
+    cfg.verify.differential = spec.checker_differential;
     cfg.jitter.enabled = spec.jitter;
     cfg.jitter.seed = stir(seed, 0xfa11);
     cfg.jitter.max_delay = spec.max_delay;
@@ -602,6 +603,8 @@ writeReplayBundle(const FuzzSpec &in_spec, const FuzzFailure &failure,
         << "crash_at " << spec.crash_at << "\n"
         << "parallel " << (spec.parallel ? 1 : 0) << "\n"
         << "workers " << spec.workers << "\n"
+        << "checker_differential " << (spec.checker_differential ? 1 : 0)
+        << "\n"
         << "# resolved configuration:\n";
     std::istringstream desc(fuzzConfig(spec, failure.seed).describe());
     for (std::string line; std::getline(desc, line);)
@@ -688,7 +691,8 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
                  key == "max_cycles" || key == "fshrs" ||
                  key == "flush_queue_depth" || key == "l2_slices" ||
                  key == "break_probe_invalidate" || key == "crash_at" ||
-                 key == "parallel" || key == "workers") {
+                 key == "parallel" || key == "workers" ||
+                 key == "checker_differential") {
             std::uint64_t v = 0;
             ls >> v;
             if (key == "jitter")
@@ -709,6 +713,8 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
                 spec.parallel = v != 0;
             else if (key == "workers")
                 spec.workers = static_cast<unsigned>(v);
+            else if (key == "checker_differential")
+                spec.checker_differential = v != 0;
             else
                 spec.break_probe_invalidate = v != 0;
         } else {

@@ -79,6 +79,10 @@ struct FuzzSpec
     Cycle crash_at = 0;
     bool parallel = false;    //!< run on the parallel tick engine
     unsigned workers = 0;     //!< parallel-engine workers (0 = hw)
+    /** Run the coherence checker in differential mode: the full sweep
+     *  beside the incremental check every cycle (see
+     *  verify::CheckerConfig::differential). Off by default; slow. */
+    bool checker_differential = false;
 };
 
 /** One reproducible failure. */

@@ -43,12 +43,17 @@ usage()
         "                   [--l2-index modulo|hashed]\n"
         "                   [--l2-replace lru|fifo|random]\n"
         "                   [--no-shrink] [--break-probe-invalidate]\n"
+        "                   [--checker-differential]\n"
         "       skipit-fuzz --replay DIR\n"
         "\n"
         "  --crash N     per seed, after one clean run, re-run with the\n"
         "                power failing at N sampled cycles and audit\n"
         "                the frozen persist-domain image\n"
-        "  --crash-at C  crash every run at exactly cycle C\n");
+        "  --crash-at C  crash every run at exactly cycle C\n"
+        "  --checker-differential\n"
+        "                also run the checker's full line sweep every\n"
+        "                cycle and abort if the incremental check\n"
+        "                missed anything it found\n");
 }
 
 std::uint64_t
@@ -147,6 +152,8 @@ main(int argc, char **argv)
             shrink = false;
         else if (arg == "--break-probe-invalidate")
             spec.break_probe_invalidate = true;
+        else if (arg == "--checker-differential")
+            spec.checker_differential = true;
         else if (arg == "--replay")
             replay_dir = next();
         else if (arg == "--help" || arg == "-h") {
