@@ -276,10 +276,6 @@ class L2Cache : public Ticked, public probe::Inspectable
     void emitMshrState(unsigned idx) const;
 };
 
-/** The pre-refactor name. The default policy is still the paper's
- *  inclusive L2; existing tests and tools refer to it this way. */
-using InclusiveCache = L2Cache;
-
 } // namespace skipit
 
 #endif // SKIPIT_L2_CACHE_HH

@@ -64,40 +64,6 @@ Distribution::max() const
     return *std::max_element(samples_.begin(), samples_.end());
 }
 
-thread_local Stats::ShardMap *Stats::tl_shard_ = nullptr;
-
-void
-Stats::enableShards(unsigned lanes)
-{
-    shards_.resize(lanes);
-}
-
-void
-Stats::enterShard(unsigned lane)
-{
-    SKIPIT_ASSERT(lane < shards_.size(), "stats shard out of range: ",
-                  lane);
-    tl_shard_ = &shards_[lane];
-}
-
-void
-Stats::leaveShard()
-{
-    tl_shard_ = nullptr;
-}
-
-void
-Stats::foldShards()
-{
-    SKIPIT_ASSERT(tl_shard_ == nullptr,
-                  "foldShards() while this thread holds a shard");
-    for (ShardMap &shard : shards_) {
-        for (const auto &[name, value] : shard)
-            counters_[name] += value;
-        shard.clear();
-    }
-}
-
 void
 Stats::dump(std::ostream &os) const
 {

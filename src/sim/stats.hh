@@ -14,7 +14,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -53,14 +52,6 @@ class Distribution
  *
  * Components bump counters through operator[]; tests and benches read them
  * back by name, and dump() prints everything for debugging.
- *
- * Under the parallel tick engine, concurrently-ticked components bump
- * counters through per-lane shards: enterShard() routes the calling
- * thread's operator[] into its lane's private map, and foldShards() adds
- * the shards back into the main registry at engine sync points. Counter
- * increments commute, so the folded totals are bit-identical to a serial
- * run regardless of worker count; reads (get()/dump()) are only exact at
- * sync points — which is where every test and bench reads them.
  */
 class Stats
 {
@@ -68,8 +59,6 @@ class Stats
     /** Get (creating if absent) the counter called @p name. */
     std::uint64_t &operator[](const std::string &name)
     {
-        if (ShardMap *shard = tl_shard_)
-            return (*shard)[name];
         return counters_[name];
     }
 
@@ -107,30 +96,8 @@ class Stats
     void dumpPrefix(std::ostream &os, const std::string &prefix) const;
     /// @}
 
-    /// @name Parallel-engine counter shards
-    /// @{
-
-    /** Allocate one private shard per tick lane. */
-    void enableShards(unsigned lanes);
-
-    /** Route this thread's operator[] into shard @p lane. */
-    void enterShard(unsigned lane);
-
-    /** Stop sharding on this thread; operator[] hits the registry. */
-    static void leaveShard();
-
-    /** Add every shard into the registry and clear the shards. Call from
-     *  one thread while no lane is active. */
-    void foldShards();
-    /// @}
-
   private:
-    using ShardMap = std::unordered_map<std::string, std::uint64_t>;
-
-    static thread_local ShardMap *tl_shard_;
-
     std::map<std::string, std::uint64_t> counters_;
-    std::vector<ShardMap> shards_;
 };
 
 } // namespace skipit

@@ -5,12 +5,11 @@
  * and which line each slot held before its first write.
  *
  * Each log is owned by the structure it records (one L1's arrays, one L2
- * slice's directory or data store, the DRAM backing store), so structures
- * ticked on different parallel-engine lanes never share one. Logging is
+ * slice's directory or data store, the DRAM backing store). Logging is
  * off until the checker enables it at wiring time; a disabled log costs
- * one branch per write. The checker drains every log in its post-phase
- * tick, after all components have ticked, so a log is only ever touched
- * by its owner's lane and, after the barrier, by the checker.
+ * one branch per write. The checker ticks after every other component
+ * and drains every log then, so a log holds exactly the writes of the
+ * cycles since the checker's last tick.
  *
  * Sized by the owner's geometry (one byte per slot plus the slots written
  * in one cycle): no hashing and no per-write allocation once warm.

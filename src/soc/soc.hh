@@ -63,18 +63,6 @@ struct SoCConfig
      *  Ticked::nextWake() contract — so there is no reason to turn it
      *  off outside of equivalence tests. */
     bool fast_forward = true;
-    /** Legacy point-to-point L1↔L2 wiring without the crossbar.
-     *  Requires l2.slices == 1. Kept solely so the equivalence tests
-     *  can demonstrate the crossbar at slices=1 is bit-identical. */
-    bool direct_l2_wiring = false;
-    /** Tick engine. The serial engine is the reference; the parallel
-     *  engine ticks per-core lanes on a worker pool and is bit-identical
-     *  to it at any worker count (docs/PARALLELISM.md). Requires the
-     *  crossbar topology (no direct_l2_wiring). */
-    Simulator::Engine engine = Simulator::Engine::serial;
-    /** Parallel-engine thread count including the stepping thread;
-     *  0 = hardware concurrency. Ignored by the serial engine. */
-    unsigned workers = 0;
 
     /** Convenience: toggle every Skip-It-related feature at once. */
     SoCConfig &
@@ -116,7 +104,7 @@ class SoC
     unsigned l2Slices() const { return unsigned(l2s_.size()); }
     /** True when every L2 slice (and the crossbar) is quiesced. */
     bool l2Idle() const;
-    /** The memory-side crossbar; nullptr under direct_l2_wiring. */
+    /** The memory-side crossbar between the L1 links and the slices. */
     TLXbar *xbar() { return xbar_.get(); }
     Dram &dram() { return *dram_; }
     Watchdog &watchdog() { return *watchdog_; }

@@ -41,10 +41,9 @@
  *                       flushed value in the frozen image, unless a later
  *                       accepted write legitimately superseded it.
  *
- * The freezer runs in the pre phase *before* the DRAM controller, so the
- * image is captured before any cycle-C activity; the oracle runs in the
- * post phase, after the probe hub has flushed the cycle's staged events,
- * so it sees the exact serial event stream under both engines.
+ * The freezer ticks *before* the DRAM controller, so the image is
+ * captured before any cycle-C activity; the oracle ticks last, after
+ * every component has emitted the cycle's events.
  */
 
 #ifndef SKIPIT_VERIFY_DURABILITY_HH
@@ -119,8 +118,8 @@ class DurabilityOracle : public Ticked, public probe::Sink
     void setDram(const Dram &dram) { dram_ = &dram; }
     /// @}
 
-    /** Post-phase tick: consume the cycle's event stream, run the online
-     *  soundness checks, arm the event-triggered crash. */
+    /** End-of-cycle tick: consume the cycle's event stream, run the
+     *  online soundness checks, arm the event-triggered crash. */
     void tick() override;
     /** Observer only: never forces a cycle to execute. */
     Cycle nextWake() const override { return wake_never; }
@@ -128,7 +127,7 @@ class DurabilityOracle : public Ticked, public probe::Sink
     /** probe::Sink: buffer an event for this cycle's tick(). */
     void onEvent(const probe::Event &e) override;
 
-    /** Pre-phase trigger, called by the CrashFreezer before the DRAM
+    /** Start-of-cycle trigger, called by the CrashFreezer before the DRAM
      *  controller ticks: freeze + audit once the crash point is due. */
     void freezeTick();
 
@@ -232,7 +231,7 @@ class DurabilityOracle : public Ticked, public probe::Sink
 };
 
 /**
- * The crash trigger: a pre-phase component registered *before* the DRAM
+ * The crash trigger: a component registered *before* the DRAM
  * controller so the image freezes at the start of the crash cycle. It
  * never self-schedules (wake_never): skipped cycles are provably idle,
  * so freezing at the next executed cycle yields the identical image —

@@ -1,16 +1,15 @@
 #include "fuzz.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "core/asm.hh"
+#include "run_pool.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/txn_tracer.hh"
@@ -241,10 +240,6 @@ fuzzConfig(const FuzzSpec &spec, std::uint64_t seed)
     cfg.l2.policy = spec.l2_policy;
     cfg.l2.index = spec.l2_index;
     cfg.l2.replace = spec.l2_replace;
-    if (spec.parallel) {
-        cfg.engine = Simulator::Engine::parallel;
-        cfg.workers = spec.workers;
-    }
     if (spec.crash_at != 0) {
         cfg.durability.enabled = true;
         cfg.durability.crash_at = spec.crash_at;
@@ -467,40 +462,16 @@ runFuzz(const FuzzSpec &spec, std::uint64_t base_seed, unsigned count,
 {
     std::optional<FuzzFailure> best;
     std::mutex mu;
-    std::atomic<std::uint64_t> next{0};
-    // Once a failure at seed S is known, seeds above S are moot.
-    std::atomic<std::uint64_t> cutoff{count};
-
-    const auto worker = [&] {
-        for (;;) {
-            const std::uint64_t i = next.fetch_add(1);
-            if (i >= count || i >= cutoff.load())
-                return;
-            auto f = runFuzzSeed(spec, base_seed + i);
-            if (!f)
-                continue;
-            std::lock_guard<std::mutex> lock(mu);
-            if (!best || f->seed < best->seed) {
-                best = std::move(*f);
-                std::uint64_t cur = cutoff.load();
-                while (i < cur && !cutoff.compare_exchange_weak(cur, i)) {
-                }
-            }
-        }
-    };
-
-    jobs = std::max(1u, jobs);
-    if (jobs <= 1 || count <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        const unsigned n = std::min(jobs, count);
-        pool.reserve(n);
-        for (unsigned t = 0; t < n; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+    forEachRun(count, jobs, [&](std::size_t i) {
+        auto f = runFuzzSeed(spec, base_seed + i);
+        if (!f)
+            return true;
+        std::lock_guard<std::mutex> lock(mu);
+        if (!best || f->seed < best->seed)
+            best = std::move(f);
+        // A failure at seed S makes every higher seed moot.
+        return false;
+    });
     return best;
 }
 
@@ -601,8 +572,6 @@ writeReplayBundle(const FuzzSpec &in_spec, const FuzzFailure &failure,
         << "break_probe_invalidate "
         << (spec.break_probe_invalidate ? 1 : 0) << "\n"
         << "crash_at " << spec.crash_at << "\n"
-        << "parallel " << (spec.parallel ? 1 : 0) << "\n"
-        << "workers " << spec.workers << "\n"
         << "checker_differential " << (spec.checker_differential ? 1 : 0)
         << "\n"
         << "# resolved configuration:\n";
@@ -691,7 +660,6 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
                  key == "max_cycles" || key == "fshrs" ||
                  key == "flush_queue_depth" || key == "l2_slices" ||
                  key == "break_probe_invalidate" || key == "crash_at" ||
-                 key == "parallel" || key == "workers" ||
                  key == "checker_differential") {
             std::uint64_t v = 0;
             ls >> v;
@@ -709,10 +677,6 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
                 spec.l2_slices = static_cast<unsigned>(v);
             else if (key == "crash_at")
                 spec.crash_at = v;
-            else if (key == "parallel")
-                spec.parallel = v != 0;
-            else if (key == "workers")
-                spec.workers = static_cast<unsigned>(v);
             else if (key == "checker_differential")
                 spec.checker_differential = v != 0;
             else

@@ -77,8 +77,6 @@ struct FuzzSpec
     /** Crash at exactly this cycle instead of sampling (replay/shrink
      *  identity of one crash run). 0 = off. */
     Cycle crash_at = 0;
-    bool parallel = false;    //!< run on the parallel tick engine
-    unsigned workers = 0;     //!< parallel-engine workers (0 = hw)
     /** Run the coherence checker in differential mode: the full sweep
      *  beside the incremental check every cycle (see
      *  verify::CheckerConfig::differential). Off by default; slow. */
@@ -121,9 +119,9 @@ std::optional<FuzzFailure> runFuzzSeed(const FuzzSpec &spec,
                                        std::uint64_t seed);
 
 /**
- * Sweep seeds [base, base + count) on @p jobs worker threads (each run
- * owns an isolated SoC). Deterministic: always reports the failure with
- * the LOWEST seed, independent of worker scheduling.
+ * Sweep seeds [base, base + count) on the run pool with @p jobs threads
+ * (each run owns an isolated SoC). Deterministic: always reports the
+ * failure with the LOWEST seed, independent of thread scheduling.
  */
 std::optional<FuzzFailure> runFuzz(const FuzzSpec &spec,
                                    std::uint64_t base_seed, unsigned count,

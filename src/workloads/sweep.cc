@@ -2,11 +2,10 @@
 
 #include "json.hh"
 
-#include <atomic>
 #include <cctype>
 #include <stdexcept>
-#include <thread>
 
+#include "run_pool.hh"
 #include "workloads.hh"
 
 namespace skipit::workloads {
@@ -162,16 +161,6 @@ applyCycleParam(CycleParams &p, const std::string &name,
         p.cfg.fast_forward = parseFlag(name, token);
     else if (name == "cores")
         p.cores = static_cast<unsigned>(parseU64(name, token));
-    else if (name == "engine") {
-        if (token == "serial")
-            p.cfg.engine = Simulator::Engine::serial;
-        else if (token == "parallel")
-            p.cfg.engine = Simulator::Engine::parallel;
-        else
-            fail("sweep: engine must be 'serial' or 'parallel', got '" +
-                 token + "'");
-    } else if (name == "workers")
-        p.cfg.workers = static_cast<unsigned>(parseU64(name, token));
     else
         fail("sweep: unknown axis '" + name + "' for a cycle-model kind");
 }
@@ -407,43 +396,15 @@ runSweep(const SweepSpec &spec, unsigned jobs)
     const std::vector<SweepPoint> points = expandGrid(spec);
 
     std::vector<std::vector<ReportValue>> rows(points.size());
-    std::vector<std::string> errors(points.size());
-    std::atomic<std::size_t> next{0};
-
-    const auto worker = [&] {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= points.size())
-                return;
-            try {
-                rows[i] = runPoint(spec, kind, points[i]);
-            } catch (const std::exception &e) {
-                errors[i] = e.what();
-            }
-        }
-    };
-
-    jobs = std::max(1u, jobs);
-    if (jobs <= 1 || points.size() <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        const unsigned n =
-            static_cast<unsigned>(std::min<std::size_t>(jobs,
-                                                        points.size()));
-        pool.reserve(n);
-        for (unsigned t = 0; t < n; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
-
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!errors[i].empty()) {
+    forEachRun(points.size(), jobs, [&](std::size_t i) {
+        try {
+            rows[i] = runPoint(spec, kind, points[i]);
+        } catch (const std::exception &e) {
             fail("sweep: run " + std::to_string(i) + " failed: " +
-                 errors[i]);
+                 e.what());
         }
-    }
+        return true;
+    });
 
     std::vector<std::string> columns;
     for (const SweepAxis &axis : spec.axes)

@@ -10,6 +10,7 @@
 
 #include "json.hh"
 #include "kv/store.hh"
+#include "run_pool.hh"
 #include "sim/logging.hh"
 #include "sim/txn_tracer.hh"
 #include "soc/soc.hh"
@@ -98,8 +99,6 @@ validate(const KvSpec &spec)
     if (spec.distribution == "zipfian" &&
         (spec.theta <= 0.0 || spec.theta >= 1.0))
         throw std::runtime_error("kv: theta must be in (0, 1)");
-    if (spec.engine != "serial" && spec.engine != "parallel")
-        throw std::runtime_error("kv: engine must be serial or parallel");
     if (spec.scan_len == 0)
         throw std::runtime_error("kv: scan_len must be >= 1");
 }
@@ -356,9 +355,6 @@ runKv(const KvSpec &spec)
     cfg.l2.policy = spec.l2_policy;
     cfg.l2.index = spec.l2_index;
     cfg.l2.replace = spec.l2_replace;
-    cfg.engine = spec.engine == "parallel" ? Simulator::Engine::parallel
-                                           : Simulator::Engine::serial;
-    cfg.workers = spec.workers;
     cfg.withSkipIt(spec.skipit);
     if (spec.crash_at > 0) {
         cfg.durability.enabled = true;
@@ -522,25 +518,28 @@ KvBenchSpec::fromJsonText(const std::string &text)
 }
 
 KvBenchResult
-runKvBench(const KvBenchSpec &spec)
+runKvBench(const KvBenchSpec &spec, unsigned jobs)
 {
     KvBenchResult result;
     result.spec = spec;
     for (const std::string &mix : spec.mixes) {
         for (const unsigned cores : spec.cores) {
-            KvSpec s = spec.base;
-            s.mix = mix;
-            s.cores = cores;
             KvBenchRow row;
             row.mix = mix;
             row.cores = cores;
-            s.skipit = true;
-            row.on = runKv(s);
-            s.skipit = false;
-            row.off = runKv(s);
             result.rows.push_back(std::move(row));
         }
     }
+    // Two runs per row, skip bit on (even index) and off (odd index).
+    forEachRun(2 * result.rows.size(), jobs, [&](std::size_t i) {
+        KvBenchRow &row = result.rows[i / 2];
+        KvSpec s = spec.base;
+        s.mix = row.mix;
+        s.cores = row.cores;
+        s.skipit = i % 2 == 0;
+        (s.skipit ? row.on : row.off) = runKv(s);
+        return true;
+    });
     return result;
 }
 

@@ -19,9 +19,8 @@
  * time).
  *
  * Determinism: key streams are generated host-side from the spec seed
- * before the machine is even built, and the tick engines are
- * bit-identical (docs/PARALLELISM.md), so a fixed-seed run produces
- * byte-identical results at any engine/worker setting.
+ * before the machine is even built, and every run owns its machine, so a
+ * fixed-seed grid produces byte-identical results at any job count.
  */
 
 #ifndef SKIPIT_WORKLOADS_YCSB_HH
@@ -90,8 +89,6 @@ struct KvSpec
     StateKind l2_policy = StateKind::Inclusive;
     IndexKind l2_index = IndexKind::Modulo;
     ReplaceKind l2_replace = ReplaceKind::Lru;
-    std::string engine = "serial"; //!< serial|parallel (result-neutral)
-    unsigned workers = 0;       //!< parallel-engine threads (0 = hw)
     bool skipit = true;
     std::string distribution = "zipfian"; //!< zipfian|uniform
     double theta = 0.99;
@@ -186,16 +183,20 @@ struct KvBenchResult
     std::vector<KvBenchRow> rows;
 };
 
-/** Run the full grid. @throws std::runtime_error on an invalid spec */
-KvBenchResult runKvBench(const KvBenchSpec &spec);
+/**
+ * Run the full grid, each (mix, cores, skip) run on the run pool with
+ * @p jobs threads; the result is identical at any job count.
+ * @throws std::runtime_error on an invalid spec
+ */
+KvBenchResult runKvBench(const KvBenchSpec &spec, unsigned jobs = 1);
 
 /**
  * Render BENCH_kv.json (schema "skipit-kv-bench-v1"): the config block,
  * one "runs" entry per (mix, cores, skipit) with throughput, latency
  * percentiles and clean/skip counters, and one "comparisons" entry per
- * (mix, cores) with the skip-on/off deltas. Deliberately excludes
- * engine/workers and any wall-clock quantity, so the bytes are identical
- * across engines and worker counts at a fixed seed.
+ * (mix, cores) with the skip-on/off deltas. Deliberately excludes the job
+ * count and any wall-clock quantity, so the bytes are identical at any
+ * job count for a fixed seed.
  */
 void writeKvBenchJson(const KvBenchResult &result, std::ostream &os);
 

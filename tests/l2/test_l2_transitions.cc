@@ -35,15 +35,14 @@ class L2Table : public ::testing::Test
     DramConfig dcfg{};
     L2Config cfg{};
     std::unique_ptr<Dram> dram;
-    std::unique_ptr<InclusiveCache> l2;
+    std::unique_ptr<L2Cache> l2;
     std::vector<std::unique_ptr<Client>> clients;
 
     void
     SetUp() override
     {
         dram = std::make_unique<Dram>("dram", sim, dcfg, stats);
-        l2 = std::make_unique<InclusiveCache>("l2", sim, cfg, *dram,
-                                              stats);
+        l2 = std::make_unique<L2Cache>("l2", sim, cfg, *dram, stats);
         for (AgentId c = 0; c < 3; ++c) {
             clients.push_back(std::make_unique<Client>(sim, c));
             l2->connectClient(c, clients.back()->link);

@@ -113,34 +113,23 @@ mixPrograms()
 TEST(CoherenceChecker, CheckerOnOffIsCycleIdentical)
 {
     // The checker is an observer registered last with nextWake() ==
-    // wake_never: enabling it — incremental or differential, on either
-    // engine — must not move a single cycle, even with quiescence
-    // fast-forward on. The parallel runs put the per-L1 touch logs on
-    // worker lanes (the tsan job runs this test).
+    // wake_never: enabling it — incremental or differential — must not
+    // move a single cycle, even with quiescence fast-forward on.
     enum class Mode { off, on, differential };
-    const auto run = [](Mode mode, bool parallel) {
+    const auto run = [](Mode mode) {
         SoCConfig cfg;
         cfg.cores = 2;
         cfg.verify.enabled = mode != Mode::off;
         cfg.verify.differential = mode == Mode::differential;
-        if (parallel) {
-            cfg.engine = Simulator::Engine::parallel;
-            cfg.workers = 2;
-        }
         SoC soc(cfg);
         soc.setPrograms(mixPrograms());
         const Cycle cycles = soc.runToQuiescence(10'000'000);
         EXPECT_TRUE(soc.checker().clean());
         return std::make_pair(cycles, soc.stats().get("l1.0.store_hits"));
     };
-    const auto reference = run(Mode::off, false);
-    for (const bool parallel : {false, true}) {
-        for (const Mode mode : {Mode::off, Mode::on, Mode::differential}) {
-            EXPECT_EQ(run(mode, parallel), reference)
-                << "parallel=" << parallel
-                << " mode=" << static_cast<int>(mode);
-        }
-    }
+    const auto reference = run(Mode::off);
+    for (const Mode mode : {Mode::on, Mode::differential})
+        EXPECT_EQ(run(mode), reference) << "mode=" << static_cast<int>(mode);
 }
 
 TEST(CoherenceChecker, CostTracksActivityNotCacheSize)

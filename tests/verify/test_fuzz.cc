@@ -111,6 +111,11 @@ TEST(Fuzz, InjectedFaultIsCaughtAndReplaysDeterministically)
     EXPECT_EQ(a->kind, b->kind);
     EXPECT_EQ(a->cycle, b->cycle);
     EXPECT_EQ(a->detail, b->detail);
+    // The seed sweep reports the lowest failing seed at any job count.
+    const auto swept = workloads::runFuzz(spec, 0, 50, 4);
+    ASSERT_TRUE(swept);
+    EXPECT_EQ(swept->seed, seed);
+    EXPECT_EQ(swept->cycle, a->cycle);
 }
 
 TEST(Fuzz, ShrinkKeepsFailureAndNeverGrows)

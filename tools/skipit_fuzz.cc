@@ -37,8 +37,7 @@ usage()
         "                   [--ops N] [--lines N] [--max-cycles C]\n"
         "                   [--no-jitter] [--max-delay D] [-j N]\n"
         "                   [--fshrs N] [--queue N] [--slices N]\n"
-        "                   [--crash N] [--crash-at C] [--parallel]\n"
-        "                   [--workers N] [--bundle-dir DIR]\n"
+        "                   [--crash N] [--crash-at C] [--bundle-dir DIR]\n"
         "                   [--l2-policy inclusive|exclusive]\n"
         "                   [--l2-index modulo|hashed]\n"
         "                   [--l2-replace lru|fifo|random]\n"
@@ -137,11 +136,6 @@ main(int argc, char **argv)
                 static_cast<unsigned>(parseU64("crash points", next()));
         else if (arg == "--crash-at")
             spec.crash_at = parseU64("crash cycle", next());
-        else if (arg == "--parallel")
-            spec.parallel = true;
-        else if (arg == "--workers")
-            spec.workers =
-                static_cast<unsigned>(parseU64("workers", next()));
         else if (arg == "-j")
             jobs = static_cast<unsigned>(parseU64("jobs", next()));
         else if (arg.rfind("-j", 0) == 0 && arg.size() > 2)

@@ -21,8 +21,6 @@
  *   --keys N         prefilled keys per hart (default 1024)
  *   --ops N          operations per hart (default 4096)
  *   --slices N       L2 slices (default 1)
- *   --engine E       serial (default) or parallel; result-neutral
- *   --workers N      parallel-engine thread count (0 = hw concurrency)
  *   --distribution D zipfian (default) or uniform
  *   --theta T        zipfian skew in (0,1) (default 0.99)
  *   --value-bytes N  payload size (default 64)
@@ -40,11 +38,13 @@
  *   --no-skipit      (crash mode) audit with the skip bit off
  *   --stages         attach the transaction tracer and print per-stage
  *                    latency histograms for the first grid point
+ *   -j N             serve N grid runs at once (default 1); results are
+ *                    byte-identical at any N
  *
  * Examples:
  *
  *   skipit-kv --mixes A,B,C --cores 1,2 -o BENCH_kv.json
- *   skipit-kv --spec bench/sweeps/kv.json
+ *   skipit-kv --spec bench/sweeps/kv.json -j4
  *   skipit-kv --mixes A --cores 2 --ops 400 --crash 20000
  */
 
@@ -70,8 +70,7 @@ usage()
         stderr,
         "usage: skipit-kv [--mixes A,B,C] [--cores 1,2] [--keys N] "
         "[--ops N]\n"
-        "                 [--slices N] [--engine serial|parallel] "
-        "[--workers N]\n"
+        "                 [--slices N] [-j N]\n"
         "                 [--l2-policy inclusive|exclusive] "
         "[--l2-index modulo|hashed]\n"
         "                 [--l2-replace lru|fifo|random]\n"
@@ -153,6 +152,7 @@ main(int argc, char **argv)
     bool crash_skipit = true;
     bool stages = false;
     Cycle crash_at = 0;
+    unsigned jobs = 1;
 
     // CLI flags override the JSON spec, so parse --spec first.
     for (int i = 1; i < argc; ++i) {
@@ -190,11 +190,10 @@ main(int argc, char **argv)
             if (!replaceKindFromString(argv[++i], spec.base.l2_replace))
                 SKIPIT_FATAL("--l2-replace must be lru, fifo or random, "
                              "got '", argv[i], "'");
-        } else if (arg == "--engine" && i + 1 < argc) {
-            spec.base.engine = argv[++i];
-        } else if (arg == "--workers" && i + 1 < argc) {
-            spec.base.workers =
-                static_cast<unsigned>(std::stoul(argv[++i]));
+        } else if (arg == "-j" && i + 1 < argc) {
+            jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
+            jobs = static_cast<unsigned>(std::stoul(arg.substr(2)));
         } else if (arg == "--distribution" && i + 1 < argc) {
             spec.base.distribution = argv[++i];
         } else if (arg == "--theta" && i + 1 < argc) {
@@ -255,7 +254,7 @@ main(int argc, char **argv)
             std::printf("\n");
         }
 
-        const KvBenchResult result = runKvBench(spec);
+        const KvBenchResult result = runKvBench(spec, jobs);
         std::printf("served-KV bench: %llu keys, %llu ops/hart, "
                     "%s(theta=%.2f), period %llu, seed %llu\n",
                     static_cast<unsigned long long>(spec.base.keys),

@@ -8,9 +8,6 @@
  *
  *   --cores N        number of cores, 1-64 (default: number of programs)
  *   --slices N       number of address-interleaved L2 slices (default 1)
- *   --engine E       tick engine: serial (default) or parallel; both are
- *                    bit-identical (see docs/PARALLELISM.md)
- *   --workers N      parallel-engine thread count (0 = hw concurrency)
  *   --no-skipit      disable the Skip It skip bit and GrantDataDirty
  *   --trace CH[,CH]  enable trace channels (flush, l1, l2, all)
  *   --trace-out FILE write a Chrome trace-event JSON of every memory
@@ -52,11 +49,10 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: skipit-run [--cores N] [--slices N] "
-                 "[--engine serial|parallel]\n"
-                 "                  [--workers N] [--no-skipit] "
-                 "[--trace CH[,CH]] [--stats]\n"
-                 "                  [--stats-prefix P] "
-                 "[--trace-out FILE] [--describe]\n"
+                 "[--no-skipit]\n"
+                 "                  [--trace CH[,CH]] [--stats] "
+                 "[--stats-prefix P]\n"
+                 "                  [--trace-out FILE] [--describe]\n"
                  "                  [--l2-policy inclusive|exclusive] "
                  "[--l2-index modulo|hashed]\n"
                  "                  [--l2-replace lru|fifo|random] "
@@ -84,8 +80,6 @@ main(int argc, char **argv)
     StateKind l2_policy = StateKind::Inclusive;
     IndexKind l2_index = IndexKind::Modulo;
     ReplaceKind l2_replace = ReplaceKind::Lru;
-    unsigned workers = 0;
-    Simulator::Engine engine = Simulator::Engine::serial;
     bool skip_it = true;
     bool dump_stats = false;
     bool describe = false;
@@ -100,21 +94,6 @@ main(int argc, char **argv)
             cores = static_cast<unsigned>(std::stoul(argv[++i]));
         } else if (arg == "--slices" && i + 1 < argc) {
             slices = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--engine" && i + 1 < argc) {
-            const std::string e = argv[++i];
-            if (e == "serial") {
-                engine = Simulator::Engine::serial;
-            } else if (e == "parallel") {
-                engine = Simulator::Engine::parallel;
-            } else {
-                std::fprintf(stderr,
-                             "error: --engine must be serial or "
-                             "parallel, got '%s'\n",
-                             e.c_str());
-                return 1;
-            }
-        } else if (arg == "--workers" && i + 1 < argc) {
-            workers = static_cast<unsigned>(std::stoul(argv[++i]));
         } else if (arg == "--l2-policy" && i + 1 < argc) {
             if (!stateKindFromString(argv[++i], l2_policy)) {
                 std::fprintf(stderr, "error: --l2-policy must be "
@@ -185,8 +164,6 @@ main(int argc, char **argv)
     cfg.l2.policy = l2_policy;
     cfg.l2.index = l2_index;
     cfg.l2.replace = l2_replace;
-    cfg.engine = engine;
-    cfg.workers = workers;
     cfg.withSkipIt(skip_it);
     SoC soc(cfg);
     if (describe)
