@@ -10,6 +10,7 @@
 
 #include "core/asm.hh"
 #include "run_pool.hh"
+#include "soc/config_keys.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/txn_tracer.hh"
@@ -17,6 +18,10 @@
 namespace skipit::workloads {
 
 namespace {
+
+/** Machine keys a FuzzSpec holds itself (0 = the machine's value). */
+constexpr std::string_view fuzz_owned_keys[] = {"fshrs",
+                                                "flush_queue_depth"};
 
 /** The word of pool line @p line that hart @p h owns. */
 Addr
@@ -216,6 +221,38 @@ checkCrashWords(const Program &p, std::uint64_t fences,
 
 } // namespace
 
+void
+applyFuzzKey(FuzzSpec &spec, const std::string &key,
+             const std::string &token)
+{
+    if (key == "harts")
+        spec.harts = parseUnsigned(key, token);
+    else if (key == "ops")
+        spec.ops = parseUnsigned(key, token);
+    else if (key == "lines")
+        spec.lines = parseUnsigned(key, token);
+    else if (key == "pool_base")
+        spec.pool_base = parseU64(key, token);
+    else if (key == "jitter")
+        spec.jitter = parseFlag(key, token);
+    else if (key == "max_delay")
+        spec.max_delay = parseUnsigned(key, token);
+    else if (key == "max_cycles")
+        spec.max_cycles = parseU64(key, token);
+    else if (key == "fshrs")
+        spec.fshrs = parseUnsigned(key, token);
+    else if (key == "flush_queue_depth")
+        spec.flush_queue_depth = parseUnsigned(key, token);
+    else if (key == "break_probe_invalidate")
+        spec.break_probe_invalidate = parseFlag(key, token);
+    else if (key == "crash_at")
+        spec.crash_at = parseU64(key, token);
+    else if (key == "checker_differential")
+        spec.checker_differential = parseFlag(key, token);
+    else
+        applyConfigKey(spec.machine, key, token);
+}
+
 SoCConfig
 fuzzConfig(const FuzzSpec &spec, std::uint64_t seed)
 {
@@ -224,7 +261,7 @@ fuzzConfig(const FuzzSpec &spec, std::uint64_t seed)
     SKIPIT_ASSERT(spec.lines >= lineGroups(spec),
                   "fuzz: need at least one pool line per ownership group "
                   "(ceil(harts / 8))");
-    SoCConfig cfg;
+    SoCConfig cfg = spec.machine;
     cfg.cores = spec.harts;
     cfg.verify.fatal = false; // latch violations; the harness reports
     cfg.verify.differential = spec.checker_differential;
@@ -236,10 +273,6 @@ fuzzConfig(const FuzzSpec &spec, std::uint64_t seed)
         cfg.l1.fshrs = spec.fshrs;
     if (spec.flush_queue_depth > 0)
         cfg.l1.flush_queue_depth = spec.flush_queue_depth;
-    cfg.l2.slices = std::max(1u, spec.l2_slices);
-    cfg.l2.policy = spec.l2_policy;
-    cfg.l2.index = spec.l2_index;
-    cfg.l2.replace = spec.l2_replace;
     if (spec.crash_at != 0) {
         cfg.durability.enabled = true;
         cfg.durability.crash_at = spec.crash_at;
@@ -538,6 +571,15 @@ writeReplayBundle(const FuzzSpec &in_spec, const FuzzFailure &failure,
     FuzzSpec spec = in_spec;
     spec.crash_points = 0;
     spec.crash_at = failure.crash_at;
+    // fshrs and flush_queue_depth are the spec's own keys (0 = the
+    // machine's value): fold a machine override into them so the bundle
+    // names each knob once.
+    const L1Config l1{};
+    if (spec.fshrs == 0 && spec.machine.l1.fshrs != l1.fshrs)
+        spec.fshrs = spec.machine.l1.fshrs;
+    if (spec.flush_queue_depth == 0 &&
+        spec.machine.l1.flush_queue_depth != l1.flush_queue_depth)
+        spec.flush_queue_depth = spec.machine.l1.flush_queue_depth;
 
     namespace fs = std::filesystem;
     std::error_code ec;
@@ -564,12 +606,10 @@ writeReplayBundle(const FuzzSpec &in_spec, const FuzzFailure &failure,
         << "max_delay " << spec.max_delay << "\n"
         << "max_cycles " << spec.max_cycles << "\n"
         << "fshrs " << spec.fshrs << "\n"
-        << "flush_queue_depth " << spec.flush_queue_depth << "\n"
-        << "l2_slices " << spec.l2_slices << "\n"
-        << "l2_policy " << toString(spec.l2_policy) << "\n"
-        << "l2_index " << toString(spec.l2_index) << "\n"
-        << "l2_replace " << toString(spec.l2_replace) << "\n"
-        << "break_probe_invalidate "
+        << "flush_queue_depth " << spec.flush_queue_depth << "\n";
+    for (const ConfigKey *k : changedConfigKeys(spec.machine, fuzz_owned_keys))
+        cfg << k->name << " " << k->print(spec.machine) << "\n";
+    cfg << "break_probe_invalidate "
         << (spec.break_probe_invalidate ? 1 : 0) << "\n"
         << "crash_at " << spec.crash_at << "\n"
         << "checker_differential " << (spec.checker_differential ? 1 : 0)
@@ -630,64 +670,18 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
-        std::string key;
-        ls >> key;
-        if (key == "seed")
-            ls >> seed;
-        else if (key == "harts")
-            ls >> spec.harts;
-        else if (key == "ops")
-            ls >> spec.ops;
-        else if (key == "lines")
-            ls >> spec.lines;
-        else if (key == "pool_base")
-            ls >> std::hex >> spec.pool_base >> std::dec;
-        else if (key == "l2_policy" || key == "l2_index" ||
-                 key == "l2_replace") {
-            std::string token;
-            ls >> token;
-            const bool known =
-                key == "l2_policy"
-                    ? stateKindFromString(token, spec.l2_policy)
-                    : key == "l2_index"
-                          ? indexKindFromString(token, spec.l2_index)
-                          : replaceKindFromString(token, spec.l2_replace);
-            if (!known) {
-                SKIPIT_FATAL("fuzz: bad ", key, " value '", token,
-                             "' in ", dir, "/config.txt");
-            }
-        } else if (key == "jitter" || key == "max_delay" ||
-                 key == "max_cycles" || key == "fshrs" ||
-                 key == "flush_queue_depth" || key == "l2_slices" ||
-                 key == "break_probe_invalidate" || key == "crash_at" ||
-                 key == "checker_differential") {
-            std::uint64_t v = 0;
-            ls >> v;
-            if (key == "jitter")
-                spec.jitter = v != 0;
-            else if (key == "max_delay")
-                spec.max_delay = static_cast<unsigned>(v);
-            else if (key == "max_cycles")
-                spec.max_cycles = v;
-            else if (key == "fshrs")
-                spec.fshrs = static_cast<unsigned>(v);
-            else if (key == "flush_queue_depth")
-                spec.flush_queue_depth = static_cast<unsigned>(v);
-            else if (key == "l2_slices")
-                spec.l2_slices = static_cast<unsigned>(v);
-            else if (key == "crash_at")
-                spec.crash_at = v;
-            else if (key == "checker_differential")
-                spec.checker_differential = v != 0;
-            else
-                spec.break_probe_invalidate = v != 0;
-        } else {
-            SKIPIT_FATAL("fuzz: unknown key '", key, "' in ", dir,
-                         "/config.txt");
-        }
-        if (ls.fail())
+        std::string key, token, extra;
+        if (!(ls >> key >> token) || ls >> extra)
             SKIPIT_FATAL("fuzz: malformed line '", line, "' in ", dir,
                          "/config.txt");
+        try {
+            if (key == "seed")
+                seed = parseU64(key, token);
+            else
+                applyFuzzKey(spec, key, token);
+        } catch (const std::exception &e) {
+            SKIPIT_FATAL("fuzz: ", e.what(), " in ", dir, "/config.txt");
+        }
     }
 
     programs.clear();

@@ -65,11 +65,9 @@ struct FuzzSpec
     unsigned fshrs = 0;       //!< override L1 FSHR count (0 = default);
                               //!< 1 keeps entries queued, the §5.4 corner
     unsigned flush_queue_depth = 0; //!< override queue depth (0 = default)
-    unsigned l2_slices = 1;   //!< address-interleaved L2 slice count
-    /// L2 policy layers (see src/l2/): part of the replay identity.
-    StateKind l2_policy = StateKind::Inclusive;
-    IndexKind l2_index = IndexKind::Modulo;
-    ReplaceKind l2_replace = ReplaceKind::Lru;
+    /** Every other machine knob (L2 slices, policy layers, ...);
+     *  fuzzConfig starts from it. */
+    SoCConfig machine{};
     bool break_probe_invalidate = false; //!< negative-control fault
     /** Crash (power-fail) cycles to sample per seed, after one clean
      *  run establishes the seed's natural length. 0 = no crash axis. */
@@ -97,6 +95,11 @@ struct FuzzFailure
     Cycle crash_at = 0;
     std::vector<Program> programs; //!< the programs that failed
 };
+
+/** Set one replay-bundle key: a FuzzSpec field, else a machine key of
+ *  soc/config_keys.hh. @throws std::runtime_error naming the key */
+void applyFuzzKey(FuzzSpec &spec, const std::string &key,
+                  const std::string &token);
 
 /** Derive the SoC configuration a fuzz run uses (checker latching,
  *  jitter seeded from @p seed when the spec enables it). */
@@ -146,8 +149,9 @@ FuzzFailure shrinkFuzzFailure(const FuzzSpec &spec,
 bool writeReplayBundle(const FuzzSpec &spec, const FuzzFailure &failure,
                        const std::string &dir);
 
-/** Parse a bundle's config.txt back into (spec, seed); fatal on
- *  malformed input. Programs are read from the bundle's core<i>.s. */
+/** Parse a bundle's config.txt back into (spec, seed) through
+ *  applyFuzzKey; fatal on malformed input. Programs are read from the
+ *  bundle's core<i>.s. */
 std::pair<FuzzSpec, std::uint64_t> readReplayBundle(
     const std::string &dir, std::vector<Program> &programs);
 

@@ -215,4 +215,18 @@ parseJson(const std::string &text, const std::string &what)
     return JsonParser(text, what).parse();
 }
 
+std::string
+scalarToken(const JsonValue &v, const std::string &what)
+{
+    switch (v.type) {
+      case JsonValue::Type::String:
+      case JsonValue::Type::Number:
+        return v.text;
+      case JsonValue::Type::Bool:
+        return v.boolean ? "1" : "0";
+      default:
+        throw std::runtime_error(what + " must be a scalar");
+    }
+}
+
 } // namespace skipit::workloads

@@ -44,6 +44,13 @@ struct JsonValue
  */
 JsonValue parseJson(const std::string &text, const std::string &what);
 
+/**
+ * A scalar as a token for the whole-token parsers: strings and numbers
+ * verbatim, bools as 1/0.
+ * @throws std::runtime_error naming @p what on an array, object or null
+ */
+std::string scalarToken(const JsonValue &v, const std::string &what);
+
 } // namespace skipit::workloads
 
 #endif // SKIPIT_WORKLOADS_JSON_HH

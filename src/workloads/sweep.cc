@@ -2,10 +2,12 @@
 
 #include "json.hh"
 
-#include <cctype>
+#include <initializer_list>
 #include <stdexcept>
+#include <utility>
 
 #include "run_pool.hh"
+#include "soc/config_keys.hh"
 #include "workloads.hh"
 
 namespace skipit::workloads {
@@ -18,85 +20,25 @@ fail(const std::string &msg)
     throw std::runtime_error(msg);
 }
 
-/** An axis value token as a string (numbers verbatim, bools as 0/1). */
-std::string
-scalarToken(const JsonValue &v)
-{
-    switch (v.type) {
-      case JsonValue::Type::String:
-      case JsonValue::Type::Number:
-        return v.text;
-      case JsonValue::Type::Bool:
-        return v.boolean ? "1" : "0";
-      default:
-        fail("sweep spec: axis values must be scalars");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Value parsing.
-// ---------------------------------------------------------------------
-
-std::uint64_t
-parseU64(const std::string &name, const std::string &token)
-{
-    try {
-        std::size_t used = 0;
-        const std::uint64_t v = std::stoull(token, &used, 0);
-        if (used != token.size())
-            fail("");
-        return v;
-    } catch (const std::exception &) {
-        fail("sweep: axis '" + name + "': '" + token +
-             "' is not an unsigned integer");
-    }
-}
-
-double
-parseF64(const std::string &name, const std::string &token)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(token, &used);
-        if (used != token.size())
-            fail("");
-        return v;
-    } catch (const std::exception &) {
-        fail("sweep: axis '" + name + "': '" + token +
-             "' is not a number");
-    }
-}
-
-bool
-parseFlag(const std::string &name, const std::string &token)
-{
-    if (token == "1" || token == "true" || token == "on")
-        return true;
-    if (token == "0" || token == "false" || token == "off")
-        return false;
-    fail("sweep: axis '" + name + "': '" + token +
-         "' is not a boolean (use 0/1)");
-}
-
 // ---------------------------------------------------------------------
 // Per-kind parameter models.
 // ---------------------------------------------------------------------
 
 enum class Kind { Cbo, Wwr, Redundant, Throughput };
 
-Kind
-parseKind(const std::string &kind)
+/** The value @p token names in @p names; throws naming @p what. */
+template <class T>
+T
+pick(const std::string &what, const std::string &token,
+     std::initializer_list<std::pair<const char *, T>> names)
 {
-    if (kind == "cbo")
-        return Kind::Cbo;
-    if (kind == "wwr")
-        return Kind::Wwr;
-    if (kind == "redundant")
-        return Kind::Redundant;
-    if (kind == "throughput")
-        return Kind::Throughput;
-    fail("sweep: unknown kind '" + kind +
-         "' (expected cbo, wwr, redundant or throughput)");
+    std::string known;
+    for (const auto &[name, value] : names) {
+        if (token == name)
+            return value;
+        known += (known.empty() ? "" : ", ") + std::string(name);
+    }
+    fail(what + ": '" + token + "' is not one of " + known);
 }
 
 /** Parameters of the cycle-model kinds (cbo / wwr / redundant). */
@@ -114,55 +56,15 @@ applyCycleParam(CycleParams &p, const std::string &name,
                 const std::string &token)
 {
     if (name == "threads")
-        p.threads = static_cast<unsigned>(parseU64(name, token));
+        p.threads = parseUnsigned(name, token);
     else if (name == "bytes")
         p.bytes = static_cast<std::size_t>(parseU64(name, token));
     else if (name == "flush")
         p.flush = parseFlag(name, token);
-    else if (name == "skipit")
-        p.cfg.withSkipIt(parseFlag(name, token));
-    else if (name == "coalesce")
-        p.cfg.l1.coalesce = parseFlag(name, token);
-    else if (name == "cross_kind_coalesce")
-        p.cfg.l1.cross_kind_coalesce = parseFlag(name, token);
-    else if (name == "wide_data_array")
-        p.cfg.l1.wide_data_array = parseFlag(name, token);
-    else if (name == "fshrs")
-        p.cfg.l1.fshrs = static_cast<unsigned>(parseU64(name, token));
-    else if (name == "flush_queue_depth")
-        p.cfg.l1.flush_queue_depth =
-            static_cast<unsigned>(parseU64(name, token));
-    else if (name == "mshrs")
-        p.cfg.l1.mshrs = static_cast<unsigned>(parseU64(name, token));
-    else if (name == "llc_skip")
-        p.cfg.l2.llc_skip = parseFlag(name, token);
-    else if (name == "l2_slices")
-        p.cfg.l2.slices = static_cast<unsigned>(parseU64(name, token));
-    else if (name == "l2_policy") {
-        if (!stateKindFromString(token, p.cfg.l2.policy))
-            fail("sweep: l2_policy must be 'inclusive' or 'exclusive', "
-                 "got '" + token + "'");
-    } else if (name == "l2_index") {
-        if (!indexKindFromString(token, p.cfg.l2.index))
-            fail("sweep: l2_index must be 'modulo' or 'hashed', got '" +
-                 token + "'");
-    } else if (name == "l2_replace") {
-        if (!replaceKindFromString(token, p.cfg.l2.replace))
-            fail("sweep: l2_replace must be 'lru', 'fifo' or 'random', "
-                 "got '" + token + "'");
-    }
-    else if (name == "grant_data_dirty")
-        p.cfg.l2.grant_data_dirty = parseFlag(name, token);
-    else if (name == "dram_latency")
-        p.cfg.dram.latency = parseU64(name, token);
-    else if (name == "link_latency")
-        p.cfg.link_latency = parseU64(name, token);
-    else if (name == "fast_forward")
-        p.cfg.fast_forward = parseFlag(name, token);
     else if (name == "cores")
-        p.cores = static_cast<unsigned>(parseU64(name, token));
+        p.cores = parseUnsigned(name, token);
     else
-        fail("sweep: unknown axis '" + name + "' for a cycle-model kind");
+        applyConfigKey(p.cfg, name, token);
 }
 
 /** Parameters of the throughput kind. */
@@ -179,65 +81,36 @@ struct ThroughputParams
     bool seed_set = false;
 };
 
-DsKind
-parseDs(const std::string &token)
-{
-    if (token == "list")
-        return DsKind::List;
-    if (token == "hashtable" || token == "hash")
-        return DsKind::HashTable;
-    if (token == "bst")
-        return DsKind::Bst;
-    if (token == "skiplist")
-        return DsKind::SkipList;
-    fail("sweep: unknown ds '" + token +
-         "' (expected list, hashtable, bst or skiplist)");
-}
-
-FlushPolicy
-parsePolicy(const std::string &token)
-{
-    if (token == "plain")
-        return FlushPolicy::Plain;
-    if (token == "flit-adjacent")
-        return FlushPolicy::FlitAdjacent;
-    if (token == "flit-hashtable")
-        return FlushPolicy::FlitHashTable;
-    if (token == "link-and-persist")
-        return FlushPolicy::LinkAndPersist;
-    if (token == "skip-it")
-        return FlushPolicy::SkipIt;
-    fail("sweep: unknown policy '" + token + "'");
-}
-
-PersistMode
-parseMode(const std::string &token)
-{
-    if (token == "non-persistent")
-        return PersistMode::NonPersistent;
-    if (token == "automatic")
-        return PersistMode::Automatic;
-    if (token == "nvtraverse")
-        return PersistMode::NvTraverse;
-    if (token == "manual")
-        return PersistMode::Manual;
-    fail("sweep: unknown mode '" + token + "'");
-}
-
 void
 applyThroughputParam(ThroughputParams &p, const std::string &name,
                      const std::string &token)
 {
     if (name == "ds")
-        p.ds = parseDs(token);
+        p.ds = pick<DsKind>(name, token,
+                            {{"list", DsKind::List},
+                             {"hashtable", DsKind::HashTable},
+                             {"hash", DsKind::HashTable},
+                             {"bst", DsKind::Bst},
+                             {"skiplist", DsKind::SkipList}});
     else if (name == "policy")
-        p.policy = parsePolicy(token);
+        p.policy = pick<FlushPolicy>(
+            name, token,
+            {{"plain", FlushPolicy::Plain},
+             {"flit-adjacent", FlushPolicy::FlitAdjacent},
+             {"flit-hashtable", FlushPolicy::FlitHashTable},
+             {"link-and-persist", FlushPolicy::LinkAndPersist},
+             {"skip-it", FlushPolicy::SkipIt}});
     else if (name == "mode")
-        p.mode = parseMode(token);
+        p.mode = pick<PersistMode>(
+            name, token,
+            {{"non-persistent", PersistMode::NonPersistent},
+             {"automatic", PersistMode::Automatic},
+             {"nvtraverse", PersistMode::NvTraverse},
+             {"manual", PersistMode::Manual}});
     else if (name == "update_pct")
         p.update_pct = parseF64(name, token);
     else if (name == "threads")
-        p.threads = static_cast<unsigned>(parseU64(name, token));
+        p.threads = parseUnsigned(name, token);
     else if (name == "budget")
         p.budget = parseU64(name, token);
     else if (name == "flit_entries")
@@ -246,7 +119,7 @@ applyThroughputParam(ThroughputParams &p, const std::string &name,
         p.seed = parseU64(name, token);
         p.seed_set = true;
     } else {
-        fail("sweep: unknown axis '" + name + "' for kind throughput");
+        fail("unknown axis '" + name + "' for kind throughput");
     }
 }
 
@@ -300,22 +173,33 @@ runPoint(const SweepSpec &spec, Kind kind, const SweepPoint &pt)
     return {static_cast<std::uint64_t>(cycles)};
 }
 
-/** Reject unknown axis names / unparsable values before spawning work. */
-void
-validateAxes(const SweepSpec &spec, Kind kind)
+/** Parse the kind and reject unknown axis names / unparsable values
+ *  before spawning work. */
+Kind
+validate(const SweepSpec &spec)
 {
-    for (const SweepAxis &axis : spec.axes) {
-        if (axis.values.empty())
-            fail("sweep: axis '" + axis.name + "' has no values");
-        for (const std::string &token : axis.values) {
-            if (kind == Kind::Throughput) {
-                ThroughputParams scratch;
-                applyThroughputParam(scratch, axis.name, token);
-            } else {
-                CycleParams scratch;
-                applyCycleParam(scratch, axis.name, token);
+    try {
+        const Kind kind = pick<Kind>("kind", spec.kind,
+                                    {{"cbo", Kind::Cbo},
+                                     {"wwr", Kind::Wwr},
+                                     {"redundant", Kind::Redundant},
+                                     {"throughput", Kind::Throughput}});
+        for (const SweepAxis &axis : spec.axes) {
+            if (axis.values.empty())
+                fail("axis '" + axis.name + "' has no values");
+            for (const std::string &token : axis.values) {
+                if (kind == Kind::Throughput) {
+                    ThroughputParams scratch;
+                    applyThroughputParam(scratch, axis.name, token);
+                } else {
+                    CycleParams scratch;
+                    applyCycleParam(scratch, axis.name, token);
+                }
             }
         }
+        return kind;
+    } catch (const std::exception &e) {
+        fail(std::string("sweep: ") + e.what());
     }
 }
 
@@ -331,24 +215,23 @@ SweepSpec::fromJsonText(const std::string &text)
     SweepSpec spec;
     for (const auto &[key, value] : doc.fields) {
         if (key == "kind") {
-            if (value.type != JsonValue::Type::String)
-                fail("sweep spec: \"kind\" must be a string");
-            spec.kind = value.text;
+            spec.kind = scalarToken(value, "sweep spec: kind");
         } else if (key == "seed") {
-            if (value.type != JsonValue::Type::Number)
-                fail("sweep spec: \"seed\" must be a number");
-            spec.seed = parseU64("seed", value.text);
+            spec.seed = parseU64("sweep spec: seed",
+                                 scalarToken(value, "sweep spec: seed"));
         } else if (key == "axes") {
             if (value.type != JsonValue::Type::Object)
                 fail("sweep spec: \"axes\" must be an object");
             for (const auto &[axis_name, axis_values] : value.fields) {
                 SweepAxis axis;
                 axis.name = axis_name;
+                const std::string what = "sweep spec: axis '" + axis_name +
+                                         "' values";
                 if (axis_values.type == JsonValue::Type::Array) {
                     for (const JsonValue &v : axis_values.items)
-                        axis.values.push_back(scalarToken(v));
+                        axis.values.push_back(scalarToken(v, what));
                 } else {
-                    axis.values.push_back(scalarToken(axis_values));
+                    axis.values.push_back(scalarToken(axis_values, what));
                 }
                 spec.axes.push_back(std::move(axis));
             }
@@ -391,8 +274,7 @@ expandGrid(const SweepSpec &spec)
 ReportTable
 runSweep(const SweepSpec &spec, unsigned jobs)
 {
-    const Kind kind = parseKind(spec.kind);
-    validateAxes(spec, kind);
+    const Kind kind = validate(spec);
     const std::vector<SweepPoint> points = expandGrid(spec);
 
     std::vector<std::vector<ReportValue>> rows(points.size());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -13,7 +14,7 @@
 #include "run_pool.hh"
 #include "sim/logging.hh"
 #include "sim/txn_tracer.hh"
-#include "soc/soc.hh"
+#include "soc/config_keys.hh"
 
 namespace skipit::workloads {
 
@@ -34,6 +35,11 @@ stir(std::uint64_t seed, std::uint64_t salt)
 {
     return mix64(seed * 0x2545f4914f6cdd1dULL + salt);
 }
+
+/** Machine keys a KvSpec sets itself: l2_slices through slices, skipit
+ *  and grant_data_dirty through the grid's skip on/off pair. */
+constexpr std::string_view kv_owned_keys[] = {"l2_slices", "skipit",
+                                              "grant_data_dirty"};
 
 /** Operation fractions of one mix (read + update + insert + scan = 1). */
 struct MixDef
@@ -205,6 +211,38 @@ imageWord(const std::unordered_map<Addr, LineData> &image, Addr addr)
     return v;
 }
 
+/** Set one KV spec key (a field of the spec or a machine key). */
+void
+applyKvKey(KvSpec &spec, const std::string &key, const std::string &token)
+{
+    if (key == "keys")
+        spec.keys = parseU64(key, token);
+    else if (key == "ops")
+        spec.ops = parseU64(key, token);
+    else if (key == "seed")
+        spec.seed = parseU64(key, token);
+    else if (key == "theta")
+        spec.theta = parseF64(key, token);
+    else if (key == "distribution")
+        spec.distribution = token;
+    else if (key == "value_bytes")
+        spec.value_bytes = parseUnsigned(key, token);
+    else if (key == "arrival_period")
+        spec.arrival_period = parseU64(key, token);
+    else if (key == "slices")
+        spec.slices = parseSlices(key, token);
+    else if (key == "scan_len")
+        spec.scan_len = parseUnsigned(key, token);
+    else if (key == "checkpoint_every")
+        spec.checkpoint_every = parseUnsigned(key, token);
+    else if (std::ranges::find(kv_owned_keys, key) !=
+             std::end(kv_owned_keys))
+        throw std::runtime_error(key + ": set by the spec itself (slices, "
+                                 "or the grid's skip on/off pair)");
+    else
+        applyConfigKey(spec.machine, key, token);
+}
+
 } // namespace
 
 void
@@ -349,12 +387,9 @@ runKv(const KvSpec &spec)
         stores.push_back(std::move(store));
     }
 
-    SoCConfig cfg;
+    SoCConfig cfg = spec.machine;
     cfg.cores = spec.cores;
-    cfg.l2.slices = std::max(1u, spec.slices);
-    cfg.l2.policy = spec.l2_policy;
-    cfg.l2.index = spec.l2_index;
-    cfg.l2.replace = spec.l2_replace;
+    cfg.l2.slices = spec.slices;
     cfg.withSkipIt(spec.skipit);
     if (spec.crash_at > 0) {
         cfg.durability.enabled = true;
@@ -446,72 +481,28 @@ KvBenchSpec::fromJsonText(const std::string &text)
         throw std::runtime_error("kv bench spec: top level must be an "
                                  "object");
     KvBenchSpec spec;
-    const auto num = [&](const char *name, auto &out) {
-        if (const JsonValue *v = doc.field(name)) {
-            if (v->type != JsonValue::Type::Number)
-                throw std::runtime_error(
-                    std::string("kv bench spec: '") + name +
-                    "' must be a number");
-            out = static_cast<std::decay_t<decltype(out)>>(
-                std::stod(v->text));
-        }
-    };
-    num("keys", spec.base.keys);
-    num("ops", spec.base.ops);
-    num("seed", spec.base.seed);
-    num("theta", spec.base.theta);
-    num("value_bytes", spec.base.value_bytes);
-    num("arrival_period", spec.base.arrival_period);
-    num("slices", spec.base.slices);
-    num("scan_len", spec.base.scan_len);
-    num("checkpoint_every", spec.base.checkpoint_every);
-    if (const JsonValue *v = doc.field("distribution")) {
-        if (v->type != JsonValue::Type::String)
-            throw std::runtime_error("kv bench spec: 'distribution' must "
-                                     "be a string");
-        spec.base.distribution = v->text;
-    }
-    if (const JsonValue *v = doc.field("l2_policy")) {
-        if (v->type != JsonValue::Type::String ||
-            !stateKindFromString(v->text, spec.base.l2_policy))
-            throw std::runtime_error("kv bench spec: 'l2_policy' must be "
-                                     "\"inclusive\" or \"exclusive\"");
-    }
-    if (const JsonValue *v = doc.field("l2_index")) {
-        if (v->type != JsonValue::Type::String ||
-            !indexKindFromString(v->text, spec.base.l2_index))
-            throw std::runtime_error("kv bench spec: 'l2_index' must be "
-                                     "\"modulo\" or \"hashed\"");
-    }
-    if (const JsonValue *v = doc.field("l2_replace")) {
-        if (v->type != JsonValue::Type::String ||
-            !replaceKindFromString(v->text, spec.base.l2_replace))
-            throw std::runtime_error("kv bench spec: 'l2_replace' must be "
-                                     "\"lru\", \"fifo\" or \"random\"");
-    }
-    if (const JsonValue *v = doc.field("mixes")) {
-        if (v->type != JsonValue::Type::Array || v->items.empty())
-            throw std::runtime_error("kv bench spec: 'mixes' must be a "
-                                     "non-empty array");
-        spec.mixes.clear();
-        for (const JsonValue &m : v->items) {
-            if (m.type != JsonValue::Type::String)
-                throw std::runtime_error("kv bench spec: mixes entries "
-                                         "must be strings");
-            spec.mixes.push_back(m.text);
-        }
-    }
-    if (const JsonValue *v = doc.field("cores")) {
-        if (v->type != JsonValue::Type::Array || v->items.empty())
-            throw std::runtime_error("kv bench spec: 'cores' must be a "
-                                     "non-empty array");
-        spec.cores.clear();
-        for (const JsonValue &c : v->items) {
-            if (c.type != JsonValue::Type::Number)
-                throw std::runtime_error("kv bench spec: cores entries "
-                                         "must be numbers");
-            spec.cores.push_back(
-                static_cast<unsigned>(std::stoul(c.text)));
+    for (const auto &[key, value] : doc.fields) {
+        try {
+            if (key != "mixes" && key != "cores") {
+                applyKvKey(spec.base, key, scalarToken(value, key));
+                continue;
+            }
+            if (value.type != JsonValue::Type::Array || value.items.empty())
+                throw std::runtime_error(key + " must be a non-empty array");
+            if (key == "mixes")
+                spec.mixes.clear();
+            else
+                spec.cores.clear();
+            for (const JsonValue &item : value.items) {
+                const std::string token = scalarToken(item, key + " entries");
+                if (key == "mixes")
+                    spec.mixes.push_back(token);
+                else
+                    spec.cores.push_back(parseUnsigned(key, token));
+            }
+        } catch (const std::exception &e) {
+            throw std::runtime_error(std::string("kv bench spec: ") +
+                                     e.what());
         }
     }
     return spec;
@@ -618,16 +609,13 @@ writeKvBenchJson(const KvBenchResult &result, std::ostream &os)
        << "    \"distribution\": \"" << b.distribution << "\",\n"
        << "    \"theta\": " << jnum(b.theta) << ",\n"
        << "    \"slices\": " << b.slices << ",\n";
-    // Policy keys appear only when non-default, keeping the default
+    // Machine keys appear only when non-default, keeping the default
     // config's output byte-identical to the pre-policy format (the
     // golden bench files pin those bytes).
-    if (b.l2_policy != StateKind::Inclusive)
-        os << "    \"l2_policy\": \"" << toString(b.l2_policy) << "\",\n";
-    if (b.l2_index != IndexKind::Modulo)
-        os << "    \"l2_index\": \"" << toString(b.l2_index) << "\",\n";
-    if (b.l2_replace != ReplaceKind::Lru) {
-        os << "    \"l2_replace\": \"" << toString(b.l2_replace)
-           << "\",\n";
+    for (const ConfigKey *k : changedConfigKeys(b.machine, kv_owned_keys)) {
+        const char *quote = k->word ? "\"" : "";
+        os << "    \"" << k->name << "\": " << quote << k->print(b.machine)
+           << quote << ",\n";
     }
     os << "    \"scan_len\": " << b.scan_len << ",\n"
        << "    \"checkpoint_every\": " << b.checkpoint_every << "\n"

@@ -33,12 +33,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "l2/index.hh"
-#include "l2/policy/state_policy.hh"
-#include "l2/replace.hh"
 #include "sim/histogram.hh"
 #include "sim/random.hh"
 #include "sim/types.hh"
+#include "soc/soc.hh"
 #include "tilelink/messages.hh"
 
 namespace skipit {
@@ -84,12 +82,11 @@ struct KvSpec
     std::uint64_t keys = 1024;  //!< prefilled keys per hart
     std::uint64_t ops = 4096;   //!< operations per hart
     unsigned cores = 2;
-    unsigned slices = 1;        //!< L2 slices
-    /// L2 policy layers (see src/l2/); defaults match the paper's L2.
-    StateKind l2_policy = StateKind::Inclusive;
-    IndexKind l2_index = IndexKind::Modulo;
-    ReplaceKind l2_replace = ReplaceKind::Lru;
+    unsigned slices = 1;        //!< L2 slices (a power of two)
     bool skipit = true;
+    /** Every other machine knob; runKv starts from it, then applies
+     *  cores, slices and skipit. */
+    SoCConfig machine{};
     std::string distribution = "zipfian"; //!< zipfian|uniform
     double theta = 0.99;
     unsigned value_bytes = 64;
@@ -160,9 +157,14 @@ struct KvBenchSpec
      *   { "mixes": ["A", "B", "C"], "cores": [1, 2],
      *     "keys": 1024, "ops": 4096, "seed": 1, "theta": 0.99,
      *     "distribution": "zipfian", "value_bytes": 64,
-     *     "arrival_period": 0, "slices": 1, "scan_len": 16 }
+     *     "arrival_period": 0, "slices": 1, "scan_len": 16,
+     *     "l2_policy": "exclusive" }
      *
-     * @throws std::runtime_error on malformed input
+     * Any other key is a machine key of soc/config_keys.hh, except
+     * l2_slices, skipit and grant_data_dirty, which the spec sets
+     * itself (slices, and the grid's skip on/off pair).
+     * @throws std::runtime_error on malformed input, an unknown key or
+     *         a key the spec owns
      */
     static KvBenchSpec fromJsonText(const std::string &text);
 };

@@ -221,7 +221,7 @@ TEST(VictimSelection, PendingFlushEvictionFuzzSmokeUnderEveryPolicy)
         spec.fshrs = 1;
         spec.flush_queue_depth = 8;
         spec.max_cycles = 500'000;
-        spec.l2_replace = k;
+        spec.machine.l2.replace = k;
         const auto failure = workloads::runFuzz(spec, 0, 10, 2);
         EXPECT_FALSE(failure.has_value())
             << toString(k) << ": seed " << failure->seed << " "

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 
 #include "sim/random.hh"
 #include "soc/soc.hh"
@@ -29,10 +30,10 @@ struct SweepPoint
     std::string
     label() const
     {
-        std::string s = "f" + std::to_string(fshrs) + "_q" +
-                        std::to_string(flush_queue_depth) + "_m" +
-                        std::to_string(l1_mshrs) + "_M" +
-                        std::to_string(l2_mshrs);
+        std::ostringstream os;
+        os << "f" << fshrs << "_q" << flush_queue_depth << "_m"
+           << l1_mshrs << "_M" << l2_mshrs;
+        std::string s = os.str();
         s += skip_it ? "_skip" : "_noskip";
         s += wide_array ? "_wide" : "_narrow";
         s += coalesce ? "_co" : "_noco";

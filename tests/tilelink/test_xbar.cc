@@ -20,8 +20,10 @@ struct XbarFixture
         : xbar("xbar", sim, slices)
     {
         for (unsigned c = 0; c < clients; ++c) {
-            links.push_back(std::make_unique<TLLink>(
-                sim, 1, "c" + std::to_string(c) + ".tl"));
+            std::string name = "c";
+            name += std::to_string(c);
+            name += ".tl";
+            links.push_back(std::make_unique<TLLink>(sim, 1, name));
             xbar.connectClient(static_cast<AgentId>(c), *links.back());
         }
         sim.add(xbar);

@@ -85,14 +85,14 @@ TEST(Fuzz, CleanSeedsStayCleanAtTwoSlicesUnderJitter)
     // Same property through the crossbar with an interleaved L2: the
     // slice-routing and global flush-counter invariants run too.
     FuzzSpec spec = smallSpec();
-    spec.l2_slices = 2;
+    spec.machine.l2.slices = 2;
     EXPECT_FALSE(workloads::runFuzz(spec, 0, 25, 2).has_value());
 }
 
 TEST(Fuzz, CleanSeedsStayCleanAtFourSlicesUnderJitter)
 {
     FuzzSpec spec = smallSpec();
-    spec.l2_slices = 4;
+    spec.machine.l2.slices = 4;
     spec.lines = 8; // cover every slice
     EXPECT_FALSE(workloads::runFuzz(spec, 0, 25, 2).has_value());
 }

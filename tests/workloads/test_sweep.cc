@@ -106,6 +106,11 @@ TEST(SweepRun, UnknownAxisOrKindIsRejectedUpfront)
 
     spec.axes = {{"threads", {"banana"}}};
     EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error);
+
+    // A slice count that is not a power of two fails at parse time,
+    // not as a panic when the SoC is built.
+    spec.axes = {{"l2_slices", {"1", "3"}}};
+    EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error);
 }
 
 TEST(SweepRun, CboPointMatchesDirectMeasurement)

@@ -417,6 +417,34 @@ TEST(KvBench, SpecParsesFromJson)
     EXPECT_THROW(KvBenchSpec::fromJsonText("[1]"), std::runtime_error);
     EXPECT_THROW(KvBenchSpec::fromJsonText(R"({"mixes": []})"),
                  std::runtime_error);
+
+    // Machine keys go through the table into the spec's machine.
+    const KvBenchSpec policy = KvBenchSpec::fromJsonText(
+        R"({"l2_policy": "exclusive", "fast_forward": false})");
+    EXPECT_EQ(policy.base.machine.l2.policy, StateKind::Exclusive);
+    EXPECT_FALSE(policy.base.machine.fast_forward);
+
+    // Unknown keys, non-integers, negatives, non-power-of-two slice
+    // counts and the machine keys the spec owns are rejected, naming
+    // the key.
+    const auto rejects = [](const std::string &doc, const std::string &key) {
+        try {
+            KvBenchSpec::fromJsonText(doc);
+            ADD_FAILURE() << "accepted " << doc;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    };
+    rejects(R"({"slicse": 4})", "slicse");
+    rejects(R"({"seed": 1.9})", "seed");
+    rejects(R"({"keys": -5})", "keys");
+    rejects(R"({"cores": [1.5]})", "cores");
+    rejects(R"({"slices": 3})", "slices");
+    rejects(R"({"l2_policy": "victim"})", "l2_policy");
+    rejects(R"({"l2_slices": 2})", "l2_slices");
+    rejects(R"({"skipit": false})", "skipit");
+    rejects(R"({"grant_data_dirty": 0})", "grant_data_dirty");
 }
 
 } // namespace

@@ -17,11 +17,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
+#include "cli.hh"
 #include "workloads/fuzz.hh"
 
 using namespace skipit;
@@ -55,18 +55,6 @@ usage()
         "                missed anything it found\n");
 }
 
-std::uint64_t
-parseU64(const char *what, const std::string &token)
-{
-    try {
-        return std::stoull(token, nullptr, 0);
-    } catch (const std::exception &) {
-        std::fprintf(stderr, "skipit-fuzz: bad %s: '%s'\n", what,
-                     token.c_str());
-        std::exit(2);
-    }
-}
-
 } // namespace
 
 int
@@ -80,83 +68,61 @@ main(int argc, char **argv)
     std::string bundle_dir = "fuzz-bundle";
     std::string replay_dir;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "skipit-fuzz: %s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--seeds")
-            seeds = static_cast<unsigned>(parseU64("count", next()));
-        else if (arg == "--seed-base")
-            seed_base = parseU64("seed", next());
-        else if (arg == "--harts")
-            spec.harts = static_cast<unsigned>(parseU64("harts", next()));
-        else if (arg == "--ops")
-            spec.ops = static_cast<unsigned>(parseU64("ops", next()));
-        else if (arg == "--lines")
-            spec.lines = static_cast<unsigned>(parseU64("lines", next()));
-        else if (arg == "--max-cycles")
-            spec.max_cycles = parseU64("cycles", next());
-        else if (arg == "--no-jitter")
-            spec.jitter = false;
-        else if (arg == "--max-delay")
-            spec.max_delay =
-                static_cast<unsigned>(parseU64("delay", next()));
-        else if (arg == "--fshrs")
-            spec.fshrs = static_cast<unsigned>(parseU64("fshrs", next()));
-        else if (arg == "--queue")
-            spec.flush_queue_depth =
-                static_cast<unsigned>(parseU64("depth", next()));
-        else if (arg == "--slices")
-            spec.l2_slices =
-                static_cast<unsigned>(parseU64("slices", next()));
-        else if (arg == "--l2-policy") {
-            if (!stateKindFromString(next(), spec.l2_policy)) {
-                std::fprintf(stderr, "skipit-fuzz: bad --l2-policy\n");
-                return 2;
-            }
-        } else if (arg == "--l2-index") {
-            if (!indexKindFromString(next(), spec.l2_index)) {
-                std::fprintf(stderr, "skipit-fuzz: bad --l2-index\n");
-                return 2;
-            }
-        } else if (arg == "--l2-replace") {
-            if (!replaceKindFromString(next(), spec.l2_replace)) {
-                std::fprintf(stderr, "skipit-fuzz: bad --l2-replace\n");
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto next = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    throw std::runtime_error(arg + " needs a value");
+                return argv[++i];
+            };
+            if (const cli::MachineFlag *mf = cli::machineFlag(cli::Fuzz, arg))
+                workloads::applyFuzzKey(spec, mf->key, next());
+            else if (arg == "--harts")
+                spec.harts = parseUnsigned(arg, next());
+            else if (arg == "--ops")
+                spec.ops = parseUnsigned(arg, next());
+            else if (arg == "--lines")
+                spec.lines = parseUnsigned(arg, next());
+            else if (arg == "--max-cycles")
+                spec.max_cycles = parseU64(arg, next());
+            else if (arg == "--max-delay")
+                spec.max_delay = parseUnsigned(arg, next());
+            else if (arg == "--crash-at")
+                spec.crash_at = parseU64(arg, next());
+            else if (arg == "--seeds")
+                seeds = parseUnsigned(arg, next());
+            else if (arg == "--seed-base")
+                seed_base = parseU64(arg, next());
+            else if (arg == "--crash")
+                spec.crash_points = parseUnsigned(arg, next());
+            else if (arg == "-j")
+                jobs = parseUnsigned(arg, next());
+            else if (arg.rfind("-j", 0) == 0 && arg.size() > 2)
+                jobs = parseUnsigned("-j", arg.substr(2));
+            else if (arg == "--no-jitter")
+                spec.jitter = false;
+            else if (arg == "--bundle-dir")
+                bundle_dir = next();
+            else if (arg == "--no-shrink")
+                shrink = false;
+            else if (arg == "--break-probe-invalidate")
+                spec.break_probe_invalidate = true;
+            else if (arg == "--checker-differential")
+                spec.checker_differential = true;
+            else if (arg == "--replay")
+                replay_dir = next();
+            else if (arg == "--help" || arg == "-h") {
+                usage();
+                return 0;
+            } else {
+                usage();
                 return 2;
             }
         }
-        else if (arg == "--crash")
-            spec.crash_points =
-                static_cast<unsigned>(parseU64("crash points", next()));
-        else if (arg == "--crash-at")
-            spec.crash_at = parseU64("crash cycle", next());
-        else if (arg == "-j")
-            jobs = static_cast<unsigned>(parseU64("jobs", next()));
-        else if (arg.rfind("-j", 0) == 0 && arg.size() > 2)
-            jobs = static_cast<unsigned>(parseU64("jobs", arg.substr(2)));
-        else if (arg == "--bundle-dir")
-            bundle_dir = next();
-        else if (arg == "--no-shrink")
-            shrink = false;
-        else if (arg == "--break-probe-invalidate")
-            spec.break_probe_invalidate = true;
-        else if (arg == "--checker-differential")
-            spec.checker_differential = true;
-        else if (arg == "--replay")
-            replay_dir = next();
-        else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            return 2;
-        }
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     }
 
     if (!replay_dir.empty()) {

@@ -51,10 +51,10 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "sim/logging.hh"
 #include "workloads/ycsb.hh"
 
@@ -78,28 +78,6 @@ usage()
         "                 [--value-bytes N] [--period N] [--scan-len N]\n"
         "                 [--seed N] [--spec FILE] [-o FILE]\n"
         "                 [--crash N [--no-skipit]] [--stages]\n");
-}
-
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        out.push_back(tok);
-    return out;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        SKIPIT_FATAL("cannot open spec file: ", path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
 }
 
 void
@@ -154,81 +132,68 @@ main(int argc, char **argv)
     Cycle crash_at = 0;
     unsigned jobs = 1;
 
-    // CLI flags override the JSON spec, so parse --spec first.
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--spec" && i + 1 < argc)
-            spec = KvBenchSpec::fromJsonText(readFile(argv[i + 1]));
-    }
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--spec" && i + 1 < argc) {
-            ++i; // parsed above
-        } else if (arg == "--mixes" && i + 1 < argc) {
-            spec.mixes = splitList(argv[++i]);
-        } else if (arg == "--cores" && i + 1 < argc) {
-            spec.cores.clear();
-            for (const std::string &c : splitList(argv[++i]))
-                spec.cores.push_back(
-                    static_cast<unsigned>(std::stoul(c)));
-        } else if (arg == "--keys" && i + 1 < argc) {
-            spec.base.keys = std::stoull(argv[++i]);
-        } else if (arg == "--ops" && i + 1 < argc) {
-            spec.base.ops = std::stoull(argv[++i]);
-        } else if (arg == "--slices" && i + 1 < argc) {
-            spec.base.slices =
-                static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--l2-policy" && i + 1 < argc) {
-            if (!stateKindFromString(argv[++i], spec.base.l2_policy))
-                SKIPIT_FATAL("--l2-policy must be inclusive or "
-                             "exclusive, got '", argv[i], "'");
-        } else if (arg == "--l2-index" && i + 1 < argc) {
-            if (!indexKindFromString(argv[++i], spec.base.l2_index))
-                SKIPIT_FATAL("--l2-index must be modulo or hashed, "
-                             "got '", argv[i], "'");
-        } else if (arg == "--l2-replace" && i + 1 < argc) {
-            if (!replaceKindFromString(argv[++i], spec.base.l2_replace))
-                SKIPIT_FATAL("--l2-replace must be lru, fifo or random, "
-                             "got '", argv[i], "'");
-        } else if (arg == "-j" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-            jobs = static_cast<unsigned>(std::stoul(arg.substr(2)));
-        } else if (arg == "--distribution" && i + 1 < argc) {
-            spec.base.distribution = argv[++i];
-        } else if (arg == "--theta" && i + 1 < argc) {
-            spec.base.theta = std::stod(argv[++i]);
-        } else if (arg == "--value-bytes" && i + 1 < argc) {
-            spec.base.value_bytes =
-                static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--period" && i + 1 < argc) {
-            spec.base.arrival_period = std::stoull(argv[++i]);
-        } else if (arg == "--scan-len" && i + 1 < argc) {
-            spec.base.scan_len =
-                static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--checkpoint" && i + 1 < argc) {
-            spec.base.checkpoint_every =
-                static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--seed" && i + 1 < argc) {
-            spec.base.seed = std::stoull(argv[++i]);
-        } else if (arg == "-o" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (arg == "--crash" && i + 1 < argc) {
-            crash_at = std::stoull(argv[++i]);
-        } else if (arg == "--no-skipit") {
-            crash_skipit = false;
-        } else if (arg == "--stages") {
-            stages = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            return 1;
-        }
-    }
-
     try {
+        // CLI flags override the JSON spec, so parse --spec first.
+        for (int i = 1; i < argc; ++i) {
+            if (std::string(argv[i]) == "--spec" && i + 1 < argc)
+                spec =
+                    KvBenchSpec::fromJsonText(cli::readFile(argv[i + 1]));
+        }
+
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const cli::MachineFlag *mf = cli::machineFlag(cli::Kv, arg);
+            if (mf != nullptr && i + 1 < argc) {
+                applyConfigKey(spec.base.machine, mf->key, argv[++i]);
+            } else if (arg == "--keys" && i + 1 < argc) {
+                spec.base.keys = parseU64(arg, argv[++i]);
+            } else if (arg == "--ops" && i + 1 < argc) {
+                spec.base.ops = parseU64(arg, argv[++i]);
+            } else if (arg == "--slices" && i + 1 < argc) {
+                spec.base.slices = parseSlices(arg, argv[++i]);
+            } else if (arg == "--distribution" && i + 1 < argc) {
+                spec.base.distribution = argv[++i];
+            } else if (arg == "--theta" && i + 1 < argc) {
+                spec.base.theta = parseF64(arg, argv[++i]);
+            } else if (arg == "--value-bytes" && i + 1 < argc) {
+                spec.base.value_bytes = parseUnsigned(arg, argv[++i]);
+            } else if (arg == "--period" && i + 1 < argc) {
+                spec.base.arrival_period = parseU64(arg, argv[++i]);
+            } else if (arg == "--scan-len" && i + 1 < argc) {
+                spec.base.scan_len = parseUnsigned(arg, argv[++i]);
+            } else if (arg == "--checkpoint" && i + 1 < argc) {
+                spec.base.checkpoint_every = parseUnsigned(arg, argv[++i]);
+            } else if (arg == "--seed" && i + 1 < argc) {
+                spec.base.seed = parseU64(arg, argv[++i]);
+            } else if (arg == "--spec" && i + 1 < argc) {
+                ++i; // parsed above
+            } else if (arg == "--mixes" && i + 1 < argc) {
+                spec.mixes = cli::splitList(argv[++i]);
+            } else if (arg == "--cores" && i + 1 < argc) {
+                spec.cores.clear();
+                for (const std::string &c : cli::splitList(argv[++i]))
+                    spec.cores.push_back(parseUnsigned(arg, c));
+            } else if (arg == "-j" && i + 1 < argc) {
+                jobs = parseUnsigned(arg, argv[++i]);
+            } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
+                jobs = parseUnsigned("-j", arg.substr(2));
+            } else if (arg == "-o" && i + 1 < argc) {
+                out_path = argv[++i];
+            } else if (arg == "--crash" && i + 1 < argc) {
+                crash_at = parseU64(arg, argv[++i]);
+            } else if (arg == "--no-skipit") {
+                crash_skipit = false;
+            } else if (arg == "--stages") {
+                stages = true;
+            } else if (arg == "--help" || arg == "-h") {
+                usage();
+                return 0;
+            } else {
+                usage();
+                return 1;
+            }
+        }
+
         if (crash_at > 0) {
             KvSpec s = spec.base;
             s.mix = spec.mixes.empty() ? "A" : spec.mixes.front();

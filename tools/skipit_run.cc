@@ -29,12 +29,11 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "core/asm.hh"
 #include "sim/trace.hh"
 #include "sim/txn_tracer.hh"
@@ -59,28 +58,13 @@ usage()
                  "[--peek ADDR]... <program.s>...\n");
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        SKIPIT_FATAL("cannot open program file: ", path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    SoCConfig cfg;
     unsigned cores = 0;
-    unsigned slices = 0;
-    StateKind l2_policy = StateKind::Inclusive;
-    IndexKind l2_index = IndexKind::Modulo;
-    ReplaceKind l2_replace = ReplaceKind::Lru;
-    bool skip_it = true;
     bool dump_stats = false;
     bool describe = false;
     std::string trace_out;
@@ -88,70 +72,53 @@ main(int argc, char **argv)
     std::vector<Addr> peeks;
     std::vector<std::string> files;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--cores" && i + 1 < argc) {
-            cores = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--slices" && i + 1 < argc) {
-            slices = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--l2-policy" && i + 1 < argc) {
-            if (!stateKindFromString(argv[++i], l2_policy)) {
-                std::fprintf(stderr, "error: --l2-policy must be "
-                             "inclusive or exclusive, got '%s'\n",
-                             argv[i]);
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const cli::MachineFlag *mf = cli::machineFlag(cli::Run, arg);
+            if (mf != nullptr && (mf->value != nullptr || i + 1 < argc)) {
+                applyConfigKey(cfg, mf->key,
+                               mf->value ? mf->value : argv[++i]);
+            } else if (arg == "--cores" && i + 1 < argc) {
+                cores = parseUnsigned(arg, argv[++i]);
+            } else if (arg == "--trace" && i + 1 < argc) {
+                for (const std::string &ch : cli::splitList(argv[++i]))
+                    trace::enable(ch);
+            } else if (arg == "--trace-out" && i + 1 < argc) {
+                trace_out = argv[++i];
+            } else if (arg.rfind("--trace-out=", 0) == 0) {
+                trace_out = arg.substr(12);
+            } else if (arg == "--stats") {
+                dump_stats = true;
+            } else if (arg == "--stats-prefix" && i + 1 < argc) {
+                stats_prefix = argv[++i];
+                dump_stats = true;
+            } else if (arg.rfind("--stats-prefix=", 0) == 0) {
+                stats_prefix = arg.substr(15);
+                dump_stats = true;
+            } else if (arg == "--describe") {
+                describe = true;
+            } else if (arg == "--peek" && i + 1 < argc) {
+                peeks.push_back(parseU64(arg, argv[++i]));
+            } else if (arg == "--help" || arg == "-h") {
+                usage();
+                return 0;
+            } else if (!arg.empty() && arg[0] == '-') {
+                usage();
                 return 1;
+            } else {
+                files.push_back(arg);
             }
-        } else if (arg == "--l2-index" && i + 1 < argc) {
-            if (!indexKindFromString(argv[++i], l2_index)) {
-                std::fprintf(stderr, "error: --l2-index must be modulo "
-                             "or hashed, got '%s'\n", argv[i]);
-                return 1;
-            }
-        } else if (arg == "--l2-replace" && i + 1 < argc) {
-            if (!replaceKindFromString(argv[++i], l2_replace)) {
-                std::fprintf(stderr, "error: --l2-replace must be lru, "
-                             "fifo or random, got '%s'\n", argv[i]);
-                return 1;
-            }
-        } else if (arg == "--no-skipit") {
-            skip_it = false;
-        } else if (arg == "--trace" && i + 1 < argc) {
-            std::stringstream ss(argv[++i]);
-            std::string ch;
-            while (std::getline(ss, ch, ','))
-                trace::enable(ch);
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            trace_out = argv[++i];
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            trace_out = arg.substr(12);
-        } else if (arg == "--stats") {
-            dump_stats = true;
-        } else if (arg == "--stats-prefix" && i + 1 < argc) {
-            stats_prefix = argv[++i];
-            dump_stats = true;
-        } else if (arg.rfind("--stats-prefix=", 0) == 0) {
-            stats_prefix = arg.substr(15);
-            dump_stats = true;
-        } else if (arg == "--describe") {
-            describe = true;
-        } else if (arg == "--peek" && i + 1 < argc) {
-            peeks.push_back(std::stoull(argv[++i], nullptr, 0));
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            usage();
-            return 1;
-        } else {
-            files.push_back(arg);
         }
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
     }
     if (files.empty()) {
         usage();
         return 1;
     }
 
-    SoCConfig cfg;
     cfg.cores = cores != 0 ? cores
                            : static_cast<unsigned>(files.size());
     if (cfg.cores < files.size()) {
@@ -159,12 +126,6 @@ main(int argc, char **argv)
                      files.size(), cfg.cores);
         return 1;
     }
-    if (slices != 0)
-        cfg.l2.slices = slices;
-    cfg.l2.policy = l2_policy;
-    cfg.l2.index = l2_index;
-    cfg.l2.replace = l2_replace;
-    cfg.withSkipIt(skip_it);
     SoC soc(cfg);
     if (describe)
         std::fputs(cfg.describe().c_str(), stdout);
@@ -177,12 +138,12 @@ main(int argc, char **argv)
 
     for (std::size_t i = 0; i < files.size(); ++i)
         soc.hart(static_cast<unsigned>(i))
-            .setProgram(assembleProgram(readFile(files[i])));
+            .setProgram(assembleProgram(cli::readFile(files[i])));
 
     const Cycle cycles = soc.runToQuiescence();
     std::printf("completed in %llu cycles (%u cores, skip-it %s)\n",
                 static_cast<unsigned long long>(cycles), cfg.cores,
-                skip_it ? "on" : "off");
+                cfg.l1.skip_it ? "on" : "off");
 
     for (const Addr a : peeks) {
         std::printf("dram[0x%llx] = 0x%llx\n",

@@ -31,11 +31,10 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
+#include "cli.hh"
 #include "workloads/sweep.hh"
 
 using namespace skipit;
@@ -59,10 +58,7 @@ parseAxis(const std::string &arg, workloads::SweepAxis &axis)
     if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size())
         return false;
     axis.name = arg.substr(0, eq);
-    std::stringstream ss(arg.substr(eq + 1));
-    std::string v;
-    while (std::getline(ss, v, ','))
-        axis.values.push_back(v);
+    axis.values = cli::splitList(arg.substr(eq + 1));
     return !axis.values.empty();
 }
 
@@ -78,68 +74,56 @@ main(int argc, char **argv)
     bool text = false;
     bool have_cli_grid = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--kind" && i + 1 < argc) {
-            spec.kind = argv[++i];
-            have_cli_grid = true;
-        } else if (arg == "--axis" && i + 1 < argc) {
-            workloads::SweepAxis axis;
-            if (!parseAxis(argv[++i], axis)) {
-                std::fprintf(stderr,
-                             "error: --axis expects NAME=V1[,V2...]\n");
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--kind" && i + 1 < argc) {
+                spec.kind = argv[++i];
+                have_cli_grid = true;
+            } else if (arg == "--axis" && i + 1 < argc) {
+                workloads::SweepAxis axis;
+                if (!parseAxis(argv[++i], axis)) {
+                    std::fprintf(stderr,
+                                 "error: --axis expects NAME=V1[,V2...]\n");
+                    return 1;
+                }
+                spec.axes.push_back(std::move(axis));
+                have_cli_grid = true;
+            } else if (arg == "--spec" && i + 1 < argc) {
+                spec_file = argv[++i];
+            } else if (arg.rfind("--spec=", 0) == 0) {
+                spec_file = arg.substr(7);
+            } else if ((arg == "-j" || arg == "--jobs") && i + 1 < argc) {
+                jobs = parseUnsigned(arg, argv[++i]);
+            } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2 &&
+                       arg[2] != 'o') {
+                jobs = parseUnsigned("-j", arg.substr(2));
+            } else if (arg == "--seed" && i + 1 < argc) {
+                spec.seed = parseU64(arg, argv[++i]);
+                have_cli_grid = true;
+            } else if (arg == "-o" && i + 1 < argc) {
+                out_file = argv[++i];
+            } else if (arg == "--text") {
+                text = true;
+            } else if (arg == "--help" || arg == "-h") {
+                usage();
+                return 0;
+            } else {
+                usage();
                 return 1;
             }
-            spec.axes.push_back(std::move(axis));
-            have_cli_grid = true;
-        } else if (arg == "--spec" && i + 1 < argc) {
-            spec_file = argv[++i];
-        } else if (arg.rfind("--spec=", 0) == 0) {
-            spec_file = arg.substr(7);
-        } else if ((arg == "-j" || arg == "--jobs") && i + 1 < argc) {
-            jobs = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2 &&
-                   arg[2] != 'o') {
-            jobs = static_cast<unsigned>(std::stoul(arg.substr(2)));
-        } else if (arg == "--seed" && i + 1 < argc) {
-            spec.seed = std::stoull(argv[++i]);
-            have_cli_grid = true;
-        } else if (arg == "-o" && i + 1 < argc) {
-            out_file = argv[++i];
-        } else if (arg == "--text") {
-            text = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            return 1;
         }
-    }
 
-    if (!spec_file.empty()) {
-        if (have_cli_grid) {
-            std::fprintf(stderr,
-                         "error: --spec excludes --kind/--axis/--seed\n");
-            return 1;
+        if (!spec_file.empty()) {
+            if (have_cli_grid) {
+                std::fprintf(stderr, "error: --spec excludes "
+                                     "--kind/--axis/--seed\n");
+                return 1;
+            }
+            spec = workloads::SweepSpec::fromJsonText(
+                cli::readFile(spec_file));
         }
-        std::ifstream in(spec_file);
-        if (!in) {
-            std::fprintf(stderr, "error: cannot open %s\n",
-                         spec_file.c_str());
-            return 1;
-        }
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        try {
-            spec = workloads::SweepSpec::fromJsonText(ss.str());
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 1;
-        }
-    }
 
-    try {
         const std::size_t runs = workloads::expandGrid(spec).size();
         std::fprintf(stderr, "skipit-sweep: %zu run(s), kind %s, -j%u\n",
                      runs, spec.kind.c_str(), jobs);
